@@ -2,8 +2,8 @@
 
 Closed-form optimum of the convecting fin under a profile area budget, a
 finite-volume solver for arbitrary thickness profiles, adjoint compliance
-sensitivities, and an optimality-criteria shape optimizer with a nested
-length search that rediscovers the closed form numerically.
+sensitivities, and an optimality-criteria shape optimizer whose optimized
+profile support rediscovers the closed-form optimal length numerically.
 """
 
 from .analytic import (

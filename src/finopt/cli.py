@@ -207,7 +207,6 @@ def _report_checks(checks: list[tuple[str, float, float]]) -> bool:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
-    bracket = tuple(args.length_bracket) if args.length_bracket else None
     options = OptimizerOptions(
         n_cells=args.n_cells,
         max_inner_iters=args.max_inner_iters,
@@ -215,8 +214,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         move_limit=args.move_limit,
         lambda_bisect_tol=args.lambda_tol,
         converge_tol=args.converge_tol,
-        length_bracket=bracket,
-        length_tol=args.length_tol,
     )
     if args.fixed_length is not None:
         report = optimize_profile(problem, args.fixed_length, options)
@@ -226,6 +223,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     theta = solve_temperature(problem, report.profile)
     breakdown = resistance_breakdown(problem, report.compliance, report.length)
     checks = _threshold_checks(problem, report.optimality, args)
+    # The last step's largest relative face change, against the tolerance
+    # that defines convergence: a run stopped by max_inner_iters fails.
+    checks.append(("converged", report.history[-1].max_change, args.converge_tol))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -233,6 +233,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "compliance": report.compliance,
         "lagrange_multiplier": report.lagrange_multiplier,
         "inner_iterations": report.inner_iterations,
+        "converged": report.converged,
         "biot": breakdown.biot,
         "optimality": {
             "grad_temp_cv": report.optimality.grad_temp_cv,
@@ -253,8 +254,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             move_limit=args.move_limit, lambda_bisect_tol=args.lambda_tol,
             converge_tol=args.converge_tol,
             fixed_length=args.fixed_length,
-            length_bracket=list(bracket) if bracket else None,
-            length_tol=args.length_tol,
         ),
     }
     write_json(args.out_dir / "report.json", payload)
@@ -332,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max relative profile change that counts as converged")
     p.add_argument("--fixed-length", type=float, default=None,
                    help="skip the length search and optimize at this length, m")
-    p.add_argument("--length-bracket", type=float, nargs=2, default=None,
-                   metavar=("LO", "HI"),
-                   help="length search bracket, m (default 0.3x to 3x the "
-                        "closed-form optimum)")
-    p.add_argument("--length-tol", type=float, default=None,
-                   help="length search tolerance, m (default bracket/1000)")
     _add_threshold_args(p)
     p.add_argument("--out-dir", type=Path, default=Path("."),
                    help="directory for output files (default .)")

@@ -14,7 +14,7 @@ class SolverError(RuntimeError):
 
 
 class OptimizationError(RuntimeError):
-    """The optimizer failed: bad bracket, diverging compliance, or similar."""
+    """The optimizer failed: no locatable support, diverging compliance, or similar."""
 
 
 class ProfileFormatError(ValueError):

@@ -1,14 +1,11 @@
 """Kernel dispatch: compiled extension when available, pure Python otherwise.
 
-The active backend is picked once at import time.  Set ``FINOPT_BACKEND``
-to ``cython`` or ``python`` to force a choice, or call :func:`set_backend`
-at runtime (mainly useful for benchmarking the two implementations against
-each other; both produce bitwise-identical results).
+The compiled backend is active when it built.  :func:`set_backend` switches
+at runtime, to compare the two implementations against each other; both
+produce bitwise-identical results.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -23,20 +20,7 @@ _IMPLS = {"python": _kernels_py}
 if _kernels is not None:
     _IMPLS["cython"] = _kernels
 
-
-def _initial_backend() -> str:
-    name = os.environ.get("FINOPT_BACKEND")
-    if name is None:
-        return "cython" if _kernels is not None else "python"
-    if name not in _IMPLS:
-        raise ImportError(
-            f"FINOPT_BACKEND={name!r} is not available; "
-            f"installed backends: {sorted(_IMPLS)}"
-        )
-    return name
-
-
-_backend = _initial_backend()
+_backend = "cython" if _kernels is not None else "python"
 
 
 def available_backends() -> list[str]:

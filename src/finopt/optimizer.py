@@ -1,4 +1,4 @@
-"""Shape optimization of the fin by optimality criteria plus a length search.
+"""Shape optimization of the fin by optimality criteria, and its optimal length.
 
 Inner problem (fixed length): minimize compliance over face thickness under
 the trapezoidal area budget.  Each iteration scales every face by
@@ -9,16 +9,18 @@ the solver's thickness floor.  For this self-adjoint objective the update
 is a descent scheme in practice, and its fixed point is the discrete
 stationary profile.
 
-Outer problem: golden-section search of compliance over the fin length.
-The closed-form optimal length is used only to place the default bracket;
-the search itself never consults it.
+Optimal length: the support of the optimized profile.  The optimality
+conditions make dt/dx linear with t = dt/dx = 0 at the tip, so sqrt(t) is
+linear in x and its root is the optimal length.  One long fin is optimized,
+the root of a straight-line fit to sqrt(t) is taken as the length, and the
+fin is optimized again at that length.  The closed-form optimal length
+only sizes the long fin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -49,10 +51,20 @@ DESCENT_SLACK = 1e-12
 #: only by a scale factor take identical bisection paths.
 BISECT_WIDTH = 1e-14
 
+#: Approximate length of the fin whose optimized support gives the optimal
+#: length, in units of the closed-form optimum.  The fin only has to
+#: outreach the support.
+LONG_FIN_FACTOR = 3
+
+#: Span of the support, as fractions of the first floored face's position,
+#: over which sqrt(t) is fitted: clear of the root cell and of the floored
+#: tip transition.
+SUPPORT_FIT_WINDOW = (0.2, 0.8)
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the inner OC iteration and the outer length search."""
+    """Mesh size and the knobs of the OC iteration; both length solves use them."""
 
     n_cells: int = 1000
     max_inner_iters: int = 500
@@ -60,8 +72,6 @@ class OptimizerOptions:
     move_limit: float = 0.2
     lambda_bisect_tol: float = 1e-10
     converge_tol: float = 1e-8
-    length_bracket: tuple[float, float] | None = None
-    length_tol: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 4:
@@ -77,15 +87,6 @@ class OptimizerOptions:
             raise DomainError("lambda_bisect_tol must be positive")
         if not self.converge_tol > 0.0:
             raise DomainError("converge_tol must be positive")
-        if self.length_bracket is not None:
-            lo, hi = self.length_bracket
-            if not (0.0 < lo < hi and math.isfinite(hi)):
-                raise DomainError(
-                    f"length_bracket must satisfy 0 < lo < hi, got {self.length_bracket}"
-                )
-            object.__setattr__(self, "length_bracket", (float(lo), float(hi)))
-        if self.length_tol is not None and not self.length_tol > 0.0:
-            raise DomainError("length_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,11 @@ class OptimalityCheck:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationReport:
-    """Outcome of an inner (and optionally outer) optimization run."""
+    """Outcome of an optimization run.
+
+    converged is true when the last iteration changed no face by more than
+    converge_tol; false means the run stopped at max_inner_iters.
+    """
 
     profile: ThicknessProfile
     length: float
@@ -128,6 +133,7 @@ class OptimizationReport:
     inner_iterations: int
     history: tuple[InnerIteration, ...] = field(repr=False)
     optimality: OptimalityCheck
+    converged: bool
 
 
 def feasible_constant_profile(mesh: Mesh, area: float) -> ThicknessProfile:
@@ -289,60 +295,66 @@ def optimize_profile(
         inner_iterations=iterations,
         history=tuple(history),
         optimality=evaluate_profile_optimality(problem, profile),
+        converged=history[-1].max_change <= options.converge_tol,
     )
 
 
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Golden-section minimum of a unimodal f on [lo, hi] to width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = f(c)
-    fd = f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+def _support_length(profile: ThicknessProfile, floor: float) -> float:
+    """Root of a straight line fitted to sqrt(t) before the first floored face."""
+    faces = profile.mesh.faces
+    floored = np.flatnonzero(profile.values <= floor)
+    if floored.size == 0:
+        raise OptimizationError(
+            "the long fin has no face at the thickness floor, so its support "
+            "does not end inside it"
+        )
+    edge = faces[floored[0]]
+    lo, hi = SUPPORT_FIT_WINDOW
+    window = (faces >= lo * edge) & (faces <= hi * edge)
+    if np.count_nonzero(window) < 2:
+        raise OptimizationError(
+            f"only {np.count_nonzero(window)} face(s) inside the support fit "
+            f"window; the mesh is too coarse to locate the support"
+        )
+    slope, intercept = np.polyfit(faces[window], np.sqrt(profile.values[window]), 1)
+    if not slope < 0.0:
+        raise OptimizationError(
+            f"sqrt(t) does not fall toward the tip (fitted slope {slope:g})"
+        )
+    return -intercept / slope
+
+
+def _long_fin_length(problem: FinProblem, n_cells: int) -> float:
+    """About LONG_FIN_FACTOR closed-form lengths, with that length mid-cell.
+
+    When a node lies within a few percent of a cell of the support edge,
+    the face before it creeps toward the floor for hundreds of iterations;
+    midway between two nodes the run needs about as few iterations as at
+    any other position.
+    """
+    edge_cells = n_cells // LONG_FIN_FACTOR + 0.5
+    return analytic.optimal_length(problem) * n_cells / edge_cells
 
 
 def optimize_length(
     problem: FinProblem, options: OptimizerOptions = OptimizerOptions()
 ) -> OptimizationReport:
-    """Minimize compliance over the fin length with nested OC inner solves.
+    """Optimize the fin length and profile in two fixed-length runs.
 
-    The default bracket spans 0.3 to 3 times the closed-form optimal
-    length; that value seeds the bracket and nothing else.
+    The first run optimizes a fin about LONG_FIN_FACTOR times the
+    closed-form optimal length; the support of its profile is the optimal
+    length.  The second run optimizes at that length and is the result.
     """
-    if options.length_bracket is not None:
-        lo, hi = options.length_bracket
-    else:
-        reference = analytic.optimal_length(problem)
-        lo, hi = 0.3 * reference, 3.0 * reference
-    tol = options.length_tol if options.length_tol is not None else 1e-3 * (hi - lo)
-
-    def inner(length: float) -> OptimizationReport:
-        return optimize_profile(problem, length, options)
-
-    edge_lo = inner(lo).compliance
-    edge_hi = inner(hi).compliance
-
-    best_length = _golden_section(lambda L: inner(L).compliance, lo, hi, tol)
-    report = inner(best_length)
-    if report.compliance >= min(edge_lo, edge_hi):
+    long_fin = optimize_profile(
+        problem, _long_fin_length(problem, options.n_cells), options
+    )
+    if not long_fin.converged:
         raise OptimizationError(
-            "length bracket holds no interior compliance minimum: "
-            f"compliance {edge_lo:.17g} at {lo:.17g}, {edge_hi:.17g} at {hi:.17g}, "
-            f"{report.compliance:.17g} at {best_length:.17g}"
+            f"the long-fin run did not converge in {long_fin.inner_iterations} "
+            f"iterations (last change {long_fin.history[-1].max_change:g})"
         )
-    return report
+    floor = thickness_floor(problem, long_fin.length)
+    return optimize_profile(problem, _support_length(long_fin.profile, floor), options)
 
 
 def evaluate_profile_optimality(

@@ -167,13 +167,24 @@ class TestOptimize:
         assert "error:" in capsys.readouterr().err
 
     def test_impossible_bracket_exits_1(self, tmp_path, capsys):
-        lo, hi = 2.0 * ORACLE_H20["L"], 3.0 * ORACLE_H20["L"]
+        # Four cells are too few to locate the support of the long fin.
         code = main(
-            ["optimize", *BASE, "--h", "20", "--n-cells", "250",
-             "--length-bracket", str(lo), str(hi), "--out-dir", str(tmp_path)]
+            ["optimize", *BASE, "--h", "20", "--n-cells", "4",
+             "--out-dir", str(tmp_path)]
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_iteration_cap_without_convergence_exits_1(self, tmp_path, capsys):
+        code = main(
+            ["optimize", *BASE, "--h", "20",
+             "--fixed-length", f"{ORACLE_H20['L']!r}",
+             "--max-inner-iters", "40", "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "FAIL converged" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is False
 
 
 class TestVerify:

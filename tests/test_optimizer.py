@@ -1,9 +1,11 @@
-"""Inner OC iteration, outer length search, and optimality verification."""
+"""Fixed-length OC iteration, optimal length, and optimality verification."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finopt import (
     DomainError,
@@ -54,9 +56,6 @@ class TestOptionsValidation:
             {"move_limit": 1.0},
             {"lambda_bisect_tol": 0.0},
             {"converge_tol": -1.0},
-            {"length_bracket": (0.2, 0.1)},
-            {"length_bracket": (0.0, 1.0)},
-            {"length_tol": 0.0},
         ],
     )
     def test_rejects_bad_options(self, kwargs):
@@ -66,7 +65,6 @@ class TestOptionsValidation:
     def test_defaults_are_valid(self):
         opts = OptimizerOptions()
         assert opts.n_cells == N_CELLS
-        assert opts.length_bracket is None
 
 
 class TestFeasibleStart:
@@ -111,6 +109,7 @@ class TestFixedLengthOptimization:
     def test_converged_change_below_tolerance(self, fixed_length_report):
         assert fixed_length_report.history[-1].max_change <= 1e-8
         assert fixed_length_report.inner_iterations < 500
+        assert fixed_length_report.converged
 
     def test_lagrange_multiplier_close_to_closed_form(self, problem, fixed_length_report):
         assert fixed_length_report.lagrange_multiplier == pytest.approx(
@@ -215,28 +214,48 @@ class TestOptimalityMetrics:
 class TestLengthSearch:
     def test_recovers_closed_form_length(self, problem, searched_report):
         exact = optimal_length(problem)
-        assert searched_report.length == pytest.approx(exact, rel=1e-2)
+        assert searched_report.length == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("n_cells", [32, 200, 450])
+    def test_recovers_closed_form_length_on_coarser_meshes(self, problem, n_cells):
+        report = optimize_length(problem, OptimizerOptions(n_cells=n_cells))
+        assert report.length == pytest.approx(optimal_length(problem), rel=1e-3)
+
+    @given(
+        log_k=st.floats(0.0, 3.0),
+        log_h=st.floats(0.0, 3.0),
+        log_area=st.floats(-6.0, -3.0),
+        log_q0=st.floats(-1.0, 3.0),
+        n_cells=st.integers(32, 1000),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_recovers_closed_form_across_decades(
+        self, log_k, log_h, log_area, log_q0, n_cells
+    ):
+        # The problem has one dimensionless form, so the closed-form length
+        # and compliance are exact oracles for every drawn problem.
+        drawn = FinProblem(
+            k=10.0**log_k, h=10.0**log_h, area=10.0**log_area, q0=10.0**log_q0
+        )
+        report = optimize_length(drawn, OptimizerOptions(n_cells=n_cells))
+        assert report.converged
+        assert abs(report.length / optimal_length(drawn) - 1.0) <= 1e-2
+        assert abs(report.compliance / optimal_compliance(drawn) - 1.0) <= 1e-2
 
     def test_high_h_case(self):
-        # the compliance valley flattens to ~1e-6 relative right of the
-        # optimum, so recovering the length needs the default fine mesh
         hot = FinProblem(k=200.0, h=200.0, area=1.6e-4, q0=20.0)
         report = optimize_length(hot, OptimizerOptions())
         assert report.length == pytest.approx(optimal_length(hot), rel=1e-2)
 
-    def test_explicit_bracket(self, problem):
-        exact = optimal_length(problem)
-        options = OptimizerOptions(length_bracket=(0.8 * exact, 2.0 * exact))
-        report = optimize_length(problem, options)
-        assert report.length == pytest.approx(exact, rel=1e-2)
-
     def test_bracket_without_interior_minimum(self, problem):
-        exact = optimal_length(problem)
-        options = OptimizerOptions(
-            n_cells=250, length_bracket=(2.0 * exact, 3.0 * exact)
-        )
-        with pytest.raises(OptimizationError):
-            optimize_length(problem, options)
+        # Four cells on the long fin leave one face inside the support fit
+        # window, too few to fit a line: the length search must fail loudly.
+        with pytest.raises(OptimizationError, match="too coarse"):
+            optimize_length(problem, OptimizerOptions(n_cells=4))
+
+    def test_unconverged_long_fin_raises(self, problem):
+        with pytest.raises(OptimizationError, match="did not converge"):
+            optimize_length(problem, OptimizerOptions(max_inner_iters=40))
 
     def test_searched_compliance_beats_nearby_lengths(self, problem, searched_report):
         # left/right probes confirm an interior minimum was found
