@@ -212,7 +212,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         max_inner_iters=args.max_inner_iters,
         oc_damping=args.oc_damping,
         move_limit=args.move_limit,
-        lambda_bisect_tol=args.lambda_tol,
         converge_tol=args.converge_tol,
     )
     if args.fixed_length is not None:
@@ -251,8 +250,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "config": _config_echo(
             args, "optimize", h=args.h, n_cells=args.n_cells,
             max_inner_iters=args.max_inner_iters, oc_damping=args.oc_damping,
-            move_limit=args.move_limit, lambda_bisect_tol=args.lambda_tol,
-            converge_tol=args.converge_tol,
+            move_limit=args.move_limit, converge_tol=args.converge_tol,
             fixed_length=args.fixed_length,
         ),
     }
@@ -325,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-inner-iters", type=int, default=500)
     p.add_argument("--oc-damping", type=float, default=0.5)
     p.add_argument("--move-limit", type=float, default=0.2)
-    p.add_argument("--lambda-tol", type=float, default=1e-10,
-                   help="relative area tolerance for the multiplier bisection")
     p.add_argument("--converge-tol", type=float, default=1e-8,
                    help="max relative profile change that counts as converged")
     p.add_argument("--fixed-length", type=float, default=None,

@@ -3,11 +3,11 @@
 Inner problem (fixed length): minimize compliance over face thickness under
 the trapezoidal area budget.  Each iteration scales every face by
 (density / lambda)^eta, where density = k (dtheta/dx)^2 is the (sign
-flipped) gradient density and lambda is bisected until the updated profile
-meets the area budget; moves are clipped to a relative limit and floored at
-the solver's thickness floor.  For this self-adjoint objective the update
-is a descent scheme in practice, and its fixed point is the discrete
-stationary profile.
+flipped) gradient density; moves are clipped to a relative limit and
+floored at the solver's thickness floor.  The updated area is piecewise
+linear in lambda^(-eta), so lambda is solved exactly from the area budget.
+For this self-adjoint objective the update is a descent scheme in practice,
+and its fixed point is the discrete stationary profile.
 
 Optimal length: the support of the optimized profile.  The optimality
 conditions make dt/dx linear with t = dt/dx = 0 at the tip, so sqrt(t) is
@@ -46,10 +46,8 @@ __all__ = [
 #: Relative slack allowed when checking that compliance never increases.
 DESCENT_SLACK = 1e-12
 
-#: Relative bracket width at which the multiplier bisection stops.  Fixed
-#: (rather than stopping on the area test) so that runs whose inputs differ
-#: only by a scale factor take identical bisection paths.
-BISECT_WIDTH = 1e-14
+#: Largest relative area error an OC step may leave before the run fails.
+AREA_TOL = 1e-10
 
 #: Approximate length of the fin whose optimized support gives the optimal
 #: length, in units of the closed-form optimum.  The fin only has to
@@ -64,13 +62,16 @@ SUPPORT_FIT_WINDOW = (0.2, 0.8)
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Mesh size and the knobs of the OC iteration; both length solves use them."""
+    """Mesh size and the knobs of the OC iteration; both length solves use them.
+
+    The area multiplier is solved exactly each step and has no tolerance; a
+    step whose area misses the budget by more than AREA_TOL (relative) fails.
+    """
 
     n_cells: int = 1000
     max_inner_iters: int = 500
     oc_damping: float = 0.5
     move_limit: float = 0.2
-    lambda_bisect_tol: float = 1e-10
     converge_tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -83,8 +84,6 @@ class OptimizerOptions:
             raise DomainError(f"oc_damping must be in (0, 1], got {self.oc_damping}")
         if not 0.0 < self.move_limit < 1.0:
             raise DomainError(f"move_limit must be in (0, 1), got {self.move_limit}")
-        if not self.lambda_bisect_tol > 0.0:
-            raise DomainError("lambda_bisect_tol must be positive")
         if not self.converge_tol > 0.0:
             raise DomainError("converge_tol must be positive")
 
@@ -155,50 +154,51 @@ def _oc_step(
     eta: float,
     move: float,
 ) -> tuple[float, np.ndarray]:
-    """One multiplier-bisected OC update; returns (lambda, new values)."""
+    """One OC update with the exact area multiplier; returns (lambda, new values).
 
-    def updated(lam: float) -> np.ndarray:
-        # A denormal-small multiplier can push density / lam to inf; the
-        # clip maps it to the move limit, which is the intended reading.
-        with np.errstate(over="ignore"):
-            factor = np.clip((density / lam) ** eta, 1.0 - move, 1.0 + move)
-        return np.maximum(values * factor, floor)
+    With s = lambda^(-eta) each face becomes clip(c s, low, high), so the
+    area is piecewise linear and nondecreasing in s with its breakpoints at
+    low / c and high / c.  A binary search over the sorted breakpoints finds
+    the interval holding the budget and a linear interpolation solves it.
+    Each candidate area is summed afresh: cumulative sums of c lose all
+    precision when the densities span hundreds of decades.
+    """
+    c = values * density**eta
+    low = np.maximum(values * (1.0 - move), floor)
+    high = values * (1.0 + move)
 
-    # Faces deep inside a floored tail can see an exactly flat temperature
-    # (adjacent values identical in float64), giving zero density; they take
-    # the full down-move for any positive multiplier, so the bracket comes
-    # from the positive densities alone.
-    positive = density[density > 0.0]
-    if positive.size == 0:
+    # Zero-density faces (an exactly flat temperature deep inside a floored
+    # tail) have no finite breakpoint and sit at low for every s.
+    with np.errstate(divide="ignore", over="ignore"):
+        breaks = np.concatenate((low / c, high / c))
+    breaks = breaks[np.isfinite(breaks)]
+    if breaks.size == 0:
         raise OptimizationError("gradient density vanished; nothing to redistribute")
-    lo = float(np.min(positive))
-    hi = float(np.max(positive))
-    if hi - lo <= 1e-300:
-        return hi, updated(hi)
+    breaks.sort()
 
-    # The extremes of the density bracket the multiplier, up to round-off;
-    # expand defensively if the running area sits a hair off the budget.
-    for _ in range(64):
-        if _face_integral(updated(lo), dx) >= target_area:
-            break
-        lo *= 0.5
-    else:
-        raise OptimizationError("could not bracket the area multiplier from below")
-    for _ in range(64):
-        if _face_integral(updated(hi), dx) <= target_area:
-            break
-        hi *= 2.0
-    else:
-        raise OptimizationError("could not bracket the area multiplier from above")
+    def area(s: float) -> float:
+        return _face_integral(np.clip(c * s, low, high), dx)
 
-    while hi - lo > BISECT_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if _face_integral(updated(mid), dx) >= target_area:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    return lam, updated(lam)
+    # An unreachable budget takes the nearer end; the caller's area check
+    # then fails the step.
+    lo, hi = 0, breaks.size - 1
+    area_lo, area_hi = area(breaks[lo]), area(breaks[hi])
+    if target_area <= area_lo:
+        s = breaks[lo]
+    elif target_area >= area_hi:
+        s = breaks[hi]
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            area_mid = area(breaks[mid])
+            if area_mid <= target_area:
+                lo, area_lo = mid, area_mid
+            else:
+                hi, area_hi = mid, area_mid
+        s_lo, s_hi = breaks[lo], breaks[hi]
+        s = s_lo + (target_area - area_lo) * (s_hi - s_lo) / (area_hi - area_lo)
+        s = min(max(s, s_lo), s_hi)
+    return float(s) ** (-1.0 / eta), np.clip(c * s, low, high)
 
 
 def optimize_profile(
@@ -259,9 +259,9 @@ def optimize_profile(
             options.oc_damping, options.move_limit,
         )
         area_error = abs(_face_integral(new_values, dx) - target_area) / target_area
-        if area_error > options.lambda_bisect_tol:
+        if area_error > AREA_TOL:
             raise OptimizationError(
-                f"multiplier bisection left the area budget unmet "
+                f"the OC step left the area budget unmet "
                 f"(relative error {area_error:g})"
             )
         max_change = float(np.max(np.abs(new_values - values) / values))

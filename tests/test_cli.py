@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import finopt.optimizer
 from finopt.cli import main
 from finopt.tables import read_profile_csv
 from conftest import ORACLE_H20
@@ -166,7 +167,7 @@ class TestOptimize:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_impossible_bracket_exits_1(self, tmp_path, capsys):
+    def test_too_coarse_to_locate_support_exits_1(self, tmp_path, capsys):
         # Four cells are too few to locate the support of the long fin.
         code = main(
             ["optimize", *BASE, "--h", "20", "--n-cells", "4",
@@ -174,6 +175,30 @@ class TestOptimize:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unmet_area_budget_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A step whose area misses the budget by 1e-9, above the 1e-10
+        # tolerance, must fail the run.
+        exact_step = finopt.optimizer._oc_step
+
+        def off_budget_step(*args):
+            lam, values = exact_step(*args)
+            return lam, values * (1.0 + 1e-9)
+
+        monkeypatch.setattr(finopt.optimizer, "_oc_step", off_budget_step)
+        code = main(
+            ["optimize", *BASE, "--h", "20",
+             "--fixed-length", f"{ORACLE_H20['L']!r}", "--n-cells", "50",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "area budget" in capsys.readouterr().err
+
+    def test_removed_lambda_tol_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", *BASE, "--h", "20", "--lambda-tol", "1e-10",
+                  "--out-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
 
     def test_iteration_cap_without_convergence_exits_1(self, tmp_path, capsys):
         code = main(

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from finopt import kernels
+from finopt import (
+    FinProblem,
+    OptimizerOptions,
+    kernels,
+    optimal_length,
+    optimize_profile,
+)
 
 
 def random_spd_system(n, seed):
@@ -81,13 +87,21 @@ def test_backend_dispatch_roundtrip():
 def test_backends_bitwise_identical():
     initial = kernels.get_backend()
     diag, off, rhs = random_spd_system(1500, seed=42)
+    problem = FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0)
     results = {}
+    compliance = {}
     try:
         for name in kernels.available_backends():
             kernels.set_backend(name)
             results[name] = kernels.solve_spd_tridiagonal(diag, off, rhs)
+            compliance[name] = optimize_profile(
+                problem, optimal_length(problem), OptimizerOptions(n_cells=200)
+            ).compliance
     finally:
         kernels.set_backend(initial)
-    ref = results.pop(kernels.available_backends()[0])
+    reference = kernels.available_backends()[0]
+    ref = results.pop(reference)
     for name, x in results.items():
         assert np.array_equal(ref, x), f"{name} differs from reference backend"
+        assert compliance[name] == compliance[reference], \
+            f"{name} optimizes to a different compliance"

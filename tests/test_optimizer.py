@@ -23,6 +23,7 @@ from finopt import (
     verify_optimality,
 )
 from finopt.mesh import Mesh, ThicknessProfile
+from finopt.optimizer import _face_integral, _oc_step
 from conftest import ORACLE_H20, optimal_profile, rectangular_profile
 
 N_CELLS = 1000
@@ -54,7 +55,6 @@ class TestOptionsValidation:
             {"oc_damping": 1.5},
             {"move_limit": 0.0},
             {"move_limit": 1.0},
-            {"lambda_bisect_tol": 0.0},
             {"converge_tol": -1.0},
         ],
     )
@@ -167,11 +167,73 @@ class TestFixedLengthOptimization:
         with pytest.raises(DomainError):
             optimize_profile(cold, 0.1, OptimizerOptions())
 
+    def test_unreachable_area_budget_raises(self, problem):
+        # Half again the budget on every face: the 20 % move limit cannot
+        # bring the area back in one step, so the step's area check fails.
+        length = optimal_length(problem)
+        mesh = Mesh(200, length)
+        start = ThicknessProfile.constant(mesh, 1.5 * problem.area / length)
+        with pytest.raises(OptimizationError, match="area budget"):
+            optimize_profile(
+                problem, length, OptimizerOptions(n_cells=200), initial_profile=start
+            )
+
     def test_rejects_initial_profile_on_wrong_mesh(self, problem):
         wrong = rectangular_profile(problem, 123)
         with pytest.raises(DomainError):
             optimize_profile(
                 problem, optimal_length(problem), OptimizerOptions(), initial_profile=wrong
+            )
+
+
+def _oc_inputs(case):
+    """(values, density, floor) for one hand-made OC step input."""
+    rng = np.random.default_rng(7)
+    floor = 1e-6
+    values = rng.uniform(2e-4, 2e-3, 60)
+    density = rng.uniform(1e2, 6e2, 60)
+    if case == "zero_density":
+        density[40:] = 0.0
+    elif case == "at_floor":
+        values[45:] = floor
+        density[45:] = rng.uniform(0.0, 1e-3, 15)
+    elif case == "tiny_density":
+        density[30] = 1e-203
+    elif case == "equal_density":
+        density[:] = 3e2
+    elif case == "four_faces":
+        values, density = values[:4], density[:4]
+    return values, density, floor
+
+
+class TestOcStep:
+    DX = 1e-3
+    ETA = 0.5
+    MOVE = 0.2
+
+    @pytest.mark.parametrize("budget", [0.97, 1.0, 1.03])
+    @pytest.mark.parametrize(
+        "case",
+        ["zero_density", "at_floor", "tiny_density", "equal_density", "four_faces"],
+    )
+    def test_meets_budget_with_the_oc_update(self, case, budget):
+        values, density, floor = _oc_inputs(case)
+        target = budget * _face_integral(values, self.DX)
+        lam, new = _oc_step(
+            values, density, target, floor, self.DX, self.ETA, self.MOVE
+        )
+        assert abs(_face_integral(new, self.DX) - target) <= 1e-14 * target
+        factor = np.clip((density / lam) ** self.ETA, 1.0 - self.MOVE, 1.0 + self.MOVE)
+        np.testing.assert_allclose(
+            new, np.maximum(values * factor, floor), rtol=1e-12, atol=0.0
+        )
+
+    def test_vanished_density_raises(self):
+        values, density, floor = _oc_inputs("equal_density")
+        with pytest.raises(OptimizationError, match="vanished"):
+            _oc_step(
+                values, np.zeros_like(density), _face_integral(values, self.DX),
+                floor, self.DX, self.ETA, self.MOVE,
             )
 
 
@@ -247,7 +309,7 @@ class TestLengthSearch:
         report = optimize_length(hot, OptimizerOptions())
         assert report.length == pytest.approx(optimal_length(hot), rel=1e-2)
 
-    def test_bracket_without_interior_minimum(self, problem):
+    def test_too_coarse_mesh_raises(self, problem):
         # Four cells on the long fin leave one face inside the support fit
         # window, too few to fit a line: the length search must fail loudly.
         with pytest.raises(OptimizationError, match="too coarse"):
