@@ -1,21 +1,23 @@
-"""Pure-Python fallback for the tridiagonal solve kernel.
+"""Thomas elimination for symmetric positive definite tridiagonal systems.
 
-Mirrors ``_kernels.pyx`` operation for operation: same elimination order,
-same rounding, so results agree bit for bit with the compiled extension.
-The loops run on Python floats (lists), which is several times faster than
-indexing numpy arrays element by element.
+One sequential pass of Gaussian elimination without pivoting.  It is the
+tail of the cyclic-reduction kernel in ``kernels``, which hands it every
+system of at most ``kernels.THOMAS_ROWS`` rows, and, applied to a whole
+system, that kernel's test oracle.  The loops run on Python floats
+(lists), which is several times faster than indexing numpy arrays element
+by element.
 """
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 
-def solve_spd_tridiagonal(diag, off, rhs):
+def solve_thomas(diag, off, rhs):
     """Solve A x = rhs for symmetric tridiagonal positive definite A.
 
-    Same contract as the compiled kernel: ``diag`` is the main diagonal,
-    ``off`` the sub/super diagonal (one shorter), and a nonpositive pivot
-    raises ``numpy.linalg.LinAlgError``.
+    ``diag`` is the main diagonal, ``off`` the sub/super diagonal (one
+    shorter); both are float64 arrays of matching length.  A nonpositive
+    (or NaN) pivot raises ``numpy.linalg.LinAlgError``.
     """
     d = diag.tolist()
     e = off.tolist()

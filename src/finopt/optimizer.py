@@ -78,8 +78,14 @@ class OptimizerOptions:
         if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 4:
             raise DomainError(f"n_cells must be an integer >= 4, got {self.n_cells!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
-        if self.max_inner_iters < 1:
-            raise DomainError("max_inner_iters must be at least 1")
+        if (
+            not isinstance(self.max_inner_iters, (int, np.integer))
+            or self.max_inner_iters < 1
+        ):
+            raise DomainError(
+                f"max_inner_iters must be an integer >= 1, got {self.max_inner_iters!r}"
+            )
+        object.__setattr__(self, "max_inner_iters", int(self.max_inner_iters))
         if not 0.0 < self.oc_damping <= 1.0:
             raise DomainError(f"oc_damping must be in (0, 1], got {self.oc_damping}")
         if not 0.0 < self.move_limit < 1.0:

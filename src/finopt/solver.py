@@ -5,7 +5,7 @@ nodes i and i+1 is k * t_face / dx, convection 2h is lumped over each
 node's control volume (trapezoid weights, half cells at the ends), the
 root carries the prescribed heat input q0 and the tip is insulated.  The
 result is a symmetric positive definite tridiagonal system solved directly
-by the kernel backend.
+by the tridiagonal kernel.
 
 Summing the discrete equations telescopes the conductive fluxes away, so
 q0 = 2h * sum(theta_i * w_i) holds as a discrete identity; the energy

@@ -56,6 +56,7 @@ class TestOptionsValidation:
             {"move_limit": 0.0},
             {"move_limit": 1.0},
             {"converge_tol": -1.0},
+            {"max_inner_iters": 2.5},
         ],
     )
     def test_rejects_bad_options(self, kwargs):
