@@ -2,8 +2,9 @@
 
 Closed-form optimum of the convecting fin under a profile area budget, a
 finite-volume solver for arbitrary thickness profiles, adjoint compliance
-sensitivities, and an optimality-criteria shape optimizer whose optimized
-profile support rediscovers the closed-form optimal length numerically.
+sensitivities, and a shape optimizer that solves the discrete optimality
+conditions directly and certifies the result; the support of an optimized
+long fin rediscovers the closed-form optimal length numerically.
 """
 
 from .analytic import (
@@ -23,6 +24,7 @@ from .errors import DomainError, OptimizationError, ProfileFormatError, SolverEr
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .optimizer import (
     InnerIteration,
+    OptimalityCertificate,
     OptimalityCheck,
     OptimizationReport,
     OptimizerOptions,
@@ -60,6 +62,7 @@ __all__ = [
     "FinProblem",
     "InnerIteration",
     "Mesh",
+    "OptimalityCertificate",
     "OptimalityCheck",
     "OptimalSolution",
     "OptimizationError",

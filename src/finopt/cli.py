@@ -13,11 +13,13 @@ Exit codes: 0 success, 1 numerical failure or failed optimality checks,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__, kernels
 from .analytic import (
     duffin_equivalent_flux,
     optimal_resistance_breakdown,
@@ -27,6 +29,7 @@ from .analytic import (
 from .errors import DomainError, OptimizationError, ProfileFormatError, SolverError
 from .mesh import Mesh, ThicknessProfile
 from .optimizer import (
+    DENSITY_SLACK,
     OptimalityCheck,
     OptimizerOptions,
     evaluate_profile_optimality,
@@ -38,7 +41,6 @@ from .solver import compliance, solve_temperature, thickness_floor
 from .tables import (
     format_float,
     read_profile_csv,
-    write_history_csv,
     write_json,
     write_profile_csv,
     write_table_json,
@@ -205,15 +207,43 @@ def _report_checks(checks: list[tuple[str, float, float]]) -> bool:
     return all_ok
 
 
+def _optimize_payload(report, breakdown, checks, args) -> dict:
+    payload = {
+        "length": report.length,
+        "compliance": report.compliance,
+        "lagrange_multiplier": report.lagrange_multiplier,
+        "biot": breakdown.biot,
+        "certificate": {
+            "lagrange_multiplier": report.lagrange_multiplier,
+            **dataclasses.asdict(report.certificate),
+        },
+        "optimality": dataclasses.asdict(report.optimality),
+        "checks": {
+            name: {"value": value, "limit": limit, "passed": value <= limit}
+            for name, value, limit in checks
+        },
+        "versions": {
+            "finopt": __version__,
+            "numpy": np.__version__,
+            "kernel": kernels.get_backend(),
+        },
+        "config": _config_echo(
+            args, "optimize", h=args.h, n_cells=args.n_cells,
+            fixed_length=args.fixed_length,
+        ),
+    }
+    if report.long_fin is not None:
+        payload["length_search"] = {
+            "long_fin_length": report.long_fin.length,
+            "long_fin_support_faces": report.long_fin.certificate.support_faces,
+            "fitted_support": report.length,
+        }
+    return payload
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
-    options = OptimizerOptions(
-        n_cells=args.n_cells,
-        max_inner_iters=args.max_inner_iters,
-        oc_damping=args.oc_damping,
-        move_limit=args.move_limit,
-        converge_tol=args.converge_tol,
-    )
+    options = OptimizerOptions(n_cells=args.n_cells)
     if args.fixed_length is not None:
         report = optimize_profile(problem, args.fixed_length, options)
     else:
@@ -222,40 +252,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     theta = solve_temperature(problem, report.profile)
     breakdown = resistance_breakdown(problem, report.compliance, report.length)
     checks = _threshold_checks(problem, report.optimality, args)
-    # The last step's largest relative face change, against the tolerance
-    # that defines convergence: a run stopped by max_inner_iters fails.
-    checks.append(("converged", report.history[-1].max_change, args.converge_tol))
+    # No floored face may want to grow: its gradient density, over the
+    # multiplier, stays at most 1 up to the solve's rounding.
+    checks.append(("certificate", report.certificate.floored_density_ratio,
+                   1.0 + DENSITY_SLACK))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "length": report.length,
-        "compliance": report.compliance,
-        "lagrange_multiplier": report.lagrange_multiplier,
-        "inner_iterations": report.inner_iterations,
-        "converged": report.converged,
-        "biot": breakdown.biot,
-        "optimality": {
-            "grad_temp_cv": report.optimality.grad_temp_cv,
-            "thickness_grad_linfit_residual":
-                report.optimality.thickness_grad_linfit_residual,
-            "tip_temp_ratio": report.optimality.tip_temp_ratio,
-            "selfadjoint_gap": report.optimality.selfadjoint_gap,
-            "grad_temp_mean": report.optimality.grad_temp_mean,
-            "thickness_slope": report.optimality.thickness_slope,
-        },
-        "checks": {
-            name: {"value": value, "limit": limit, "passed": value <= limit}
-            for name, value, limit in checks
-        },
-        "config": _config_echo(
-            args, "optimize", h=args.h, n_cells=args.n_cells,
-            max_inner_iters=args.max_inner_iters, oc_damping=args.oc_damping,
-            move_limit=args.move_limit, converge_tol=args.converge_tol,
-            fixed_length=args.fixed_length,
-        ),
-    }
-    write_json(args.out_dir / "report.json", payload)
-    write_history_csv(args.out_dir / "history.csv", report.history)
+    write_json(args.out_dir / "report.json",
+               _optimize_payload(report, breakdown, checks, args))
     # thickness lives at face midpoints; the table spans [0, L] node-wise so
     # the file can be fed straight back into the verify subcommand
     mesh = report.profile.mesh
@@ -269,7 +273,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     print(f"optimized fin: L = {report.length:.6g} m, "
           f"compliance = {report.compliance:.6g} W K/m, "
-          f"{report.inner_iterations} inner iterations")
+          f"support {report.certificate.support_faces} of {mesh.n_cells} faces")
     return 0 if _report_checks(checks) else 1
 
 
@@ -320,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_args(p)
     p.add_argument("--n-cells", type=int, default=1000,
                    help="mesh cells for the discrete model (default 1000)")
-    p.add_argument("--max-inner-iters", type=int, default=500)
-    p.add_argument("--oc-damping", type=float, default=0.5)
-    p.add_argument("--move-limit", type=float, default=0.2)
-    p.add_argument("--converge-tol", type=float, default=1e-8,
-                   help="max relative profile change that counts as converged")
     p.add_argument("--fixed-length", type=float, default=None,
                    help="skip the length search and optimize at this length, m")
     _add_threshold_args(p)

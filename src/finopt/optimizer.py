@@ -1,13 +1,19 @@
-"""Shape optimization of the fin by optimality criteria, and its optimal length.
+"""Compliance-optimal fin profile at fixed length, and the optimal length.
 
-Inner problem (fixed length): minimize compliance over face thickness under
-the trapezoidal area budget.  Each iteration scales every face by
-(density / lambda)^eta, where density = k (dtheta/dx)^2 is the (sign
-flipped) gradient density; moves are clipped to a relative limit and
-floored at the solver's thickness floor.  The updated area is piecewise
-linear in lambda^(-eta), so lambda is solved exactly from the area budget.
-For this self-adjoint objective the update is a descent scheme in practice,
-and its fixed point is the discrete stationary profile.
+Fixed length: the profile comes straight from the discrete optimality
+conditions.  Stationarity of the Lagrangian makes the gradient density
+k (dtheta/dx)^2 equal to the area multiplier lambda on every face above the
+thickness floor, so the temperature falls linearly over the support, and a
+flux balance then gives each active face's thickness in closed form.  The
+only unknown is the number of active faces, the largest that keeps every
+active face above the floor: one O(n) pass, no iteration.  A solve of the
+result measures the certificate (density spread on the support, largest
+floored density over lambda, area error); a failed certificate raises
+OptimizationError.
+
+The optimality-criteria (OC) iteration that reaches the same profile,
+rescaling every face by (density / lambda)^eta, is kept as the private
+test oracle _optimize_profile_oc; the package does not call it.
 
 Optimal length: the support of the optimized profile.  The optimality
 conditions make dt/dx linear with t = dt/dx = 0 at the tip, so sqrt(t) is
@@ -26,13 +32,14 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, OptimizationError
-from .mesh import Mesh, ThicknessProfile
+from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
 from .sensitivity import TIP_EXCLUSION, interior_face_mask, solve_adjoint
 from .solver import solve_temperature, thickness_floor, variational_compliance
 
 __all__ = [
     "InnerIteration",
+    "OptimalityCertificate",
     "OptimalityCheck",
     "OptimizationReport",
     "OptimizerOptions",
@@ -46,8 +53,15 @@ __all__ = [
 #: Relative slack allowed when checking that compliance never increases.
 DESCENT_SLACK = 1e-12
 
-#: Largest relative area error an OC step may leave before the run fails.
+#: Largest relative area error a profile may leave before the run fails.
 AREA_TOL = 1e-10
+
+#: Slack of the certificate's floored-face condition, max floored density
+#: <= lambda (1 + DENSITY_SLACK).  The densities come from a solve whose
+#: rounding spreads them over the support by about 4e-7 at 1e5 cells; a
+#: support one face short of the optimum shows a ratio of 1.01 there, and
+#: of 1.09 or more on 1e4 cells or fewer.
+DENSITY_SLACK = 1e-6
 
 #: Approximate length of the fin whose optimized support gives the optimal
 #: length, in units of the closed-form optimum.  The fin only has to
@@ -62,41 +76,22 @@ SUPPORT_FIT_WINDOW = (0.2, 0.8)
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Mesh size and the knobs of the OC iteration; both length solves use them.
+    """Mesh size of the discrete model; both runs of optimize_length use it.
 
-    The area multiplier is solved exactly each step and has no tolerance; a
-    step whose area misses the budget by more than AREA_TOL (relative) fails.
+    The optimal profile is solved directly, so there is nothing else to set.
     """
 
     n_cells: int = 1000
-    max_inner_iters: int = 500
-    oc_damping: float = 0.5
-    move_limit: float = 0.2
-    converge_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 4:
             raise DomainError(f"n_cells must be an integer >= 4, got {self.n_cells!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
-        if (
-            not isinstance(self.max_inner_iters, (int, np.integer))
-            or self.max_inner_iters < 1
-        ):
-            raise DomainError(
-                f"max_inner_iters must be an integer >= 1, got {self.max_inner_iters!r}"
-            )
-        object.__setattr__(self, "max_inner_iters", int(self.max_inner_iters))
-        if not 0.0 < self.oc_damping <= 1.0:
-            raise DomainError(f"oc_damping must be in (0, 1], got {self.oc_damping}")
-        if not 0.0 < self.move_limit < 1.0:
-            raise DomainError(f"move_limit must be in (0, 1), got {self.move_limit}")
-        if not self.converge_tol > 0.0:
-            raise DomainError("converge_tol must be positive")
 
 
 @dataclass(frozen=True)
 class InnerIteration:
-    """One row of the inner-loop history."""
+    """One row of a compliance history."""
 
     compliance: float
     area_error: float
@@ -123,12 +118,30 @@ class OptimalityCheck:
     thickness_slope: float
 
 
+@dataclass(frozen=True)
+class OptimalityCertificate:
+    """The discrete optimality conditions, measured on a solve of the result.
+
+    support_faces          m: faces 0..m-1 are above the thickness floor
+    density_spread         max |density / lambda - 1| over the support
+    floored_density_ratio  max density / lambda over the floored faces
+                           (0 when no face is floored)
+    area_error             |area - budget| / budget
+    """
+
+    support_faces: int
+    density_spread: float
+    floored_density_ratio: float
+    area_error: float
+
+
 @dataclass(frozen=True, eq=False)
 class OptimizationReport:
     """Outcome of an optimization run.
 
-    converged is true when the last iteration changed no face by more than
-    converge_tol; false means the run stopped at max_inner_iters.
+    history has two rows, the feasible constant start and the result, and
+    inner_iterations is 1: the profile comes from one pass.  A length run
+    keeps its long-fin run in long_fin.
     """
 
     profile: ThicknessProfile
@@ -138,7 +151,8 @@ class OptimizationReport:
     inner_iterations: int
     history: tuple[InnerIteration, ...] = field(repr=False)
     optimality: OptimalityCheck
-    converged: bool
+    certificate: OptimalityCertificate
+    long_fin: OptimizationReport | None = field(default=None, repr=False)
 
 
 def feasible_constant_profile(mesh: Mesh, area: float) -> ThicknessProfile:
@@ -149,6 +163,147 @@ def feasible_constant_profile(mesh: Mesh, area: float) -> ThicknessProfile:
 def _face_integral(values: np.ndarray, dx: float) -> float:
     # Same arithmetic as ThicknessProfile.area: midpoint rule over faces.
     return float(np.sum(values)) * dx
+
+
+def _solve_optimality_conditions(
+    problem: FinProblem, length: float, n_cells: int
+) -> tuple[np.ndarray, float, int]:
+    """Stationary discrete profile; returns (values, slope, support).
+
+    With faces 0..m-1 active and the rest at the floor t_f, the optimality
+    conditions give theta_i = g (r - x_i) on nodes 0..m.  The floored tail
+    takes the flux phi theta_m, and the heat balance of the nodes past each
+    active face gives k t_i g = sum_{j=i+1..m} 2 h w_j theta_j + phi theta_m,
+    so t does not depend on g.  The area budget fixes r and a unit root
+    flux fixes g, returned as slope.  The support m is the largest whose
+    every active face is above the floor; it is picked from all n
+    candidates at once, so no candidate past it is feasible.
+    """
+    mesh = Mesh(n_cells, length)
+    n, dx, x = mesh.n_cells, mesh.dx, mesh.nodes
+    k = problem.k
+    floor = thickness_floor(problem, length)
+    convection = 2.0 * problem.h * mesh.node_weights
+
+    # phi[j]: flux into the floored faces j.. per unit theta_j, from the tip
+    # back.  Every interior step is the same map, so once phi repeats it has
+    # reached the map's fixed point and stays there.
+    conductance = k * floor / dx
+    phi = np.zeros(n + 1)
+    for j in range(n - 1, -1, -1):
+        a = convection[j + 1] + phi[j + 1]
+        phi[j] = conductance * a / (conductance + a)
+        if phi[j] == phi[j + 1]:
+            phi[:j] = phi[j]
+            break
+
+    # For every support m = 1..n: each k t_i is linear in r, and their sum,
+    # by prefix sums in m, meets the area left to the active faces at one
+    # r; then t_{m-1} = (2 h w_m + phi_m)(r - x_m) / k is the thinnest face.
+    m = np.arange(1, n + 1)
+    c, ph, xs = convection[1:], phi[1:], x[1:]
+    active_area = problem.area / dx - (n - m) * floor
+    roots = (k * active_area + np.cumsum(m * c * xs) + m * ph * xs) / (
+        np.cumsum(m * c) + m * ph
+    )
+    feasible = np.flatnonzero((c + ph) * (roots - xs) > k * floor)
+    if feasible.size == 0:
+        raise OptimizationError(
+            "the area budget does not lift even the root face above the "
+            "thickness floor"
+        )
+    support = int(feasible[-1]) + 1
+    r = float(roots[support - 1])
+
+    # A reversed cumulative sum of positive terms: nothing cancels near the tip.
+    shed = convection[1 : support + 1] * (r - x[1 : support + 1])
+    values = np.full(n, floor)
+    tail = phi[support] * (r - x[support])
+    values[:support] = (np.cumsum(shed[::-1])[::-1] + tail) / k
+    slope = 1.0 / (convection[0] * r + k * values[0])
+    return values, slope, support
+
+
+def _certify(
+    problem: FinProblem,
+    profile: ThicknessProfile,
+    theta_hat: TemperatureField,
+    slope: float,
+    support: int,
+) -> OptimalityCertificate:
+    """Measure the optimality conditions on a unit-load solve; raise if unmet."""
+    area_error = abs(_face_integral(profile.values, profile.mesh.dx) - problem.area)
+    area_error /= problem.area
+    if area_error > AREA_TOL:
+        raise OptimizationError(
+            f"the solved profile leaves the area budget unmet "
+            f"(relative error {area_error:g})"
+        )
+    gradient = np.diff(theta_hat.values) / profile.mesh.dx
+    ratio = (gradient / slope) ** 2
+    certificate = OptimalityCertificate(
+        support_faces=support,
+        density_spread=float(np.max(np.abs(ratio[:support] - 1.0))),
+        floored_density_ratio=float(np.max(ratio[support:], initial=0.0)),
+        area_error=area_error,
+    )
+    if not certificate.floored_density_ratio <= 1.0 + DENSITY_SLACK:
+        raise OptimizationError(
+            f"a floored face has gradient density "
+            f"{certificate.floored_density_ratio:.17g} lambda; the support "
+            f"of {support} faces is not optimal"
+        )
+    return certificate
+
+
+def optimize_profile(
+    problem: FinProblem,
+    length: float,
+    options: OptimizerOptions = OptimizerOptions(),
+) -> OptimizationReport:
+    """Compliance-optimal profile at fixed fin length, solved directly.
+
+    The profile does not depend on the load: it is built and solved for a
+    unit root flux, and compliance and multiplier are scaled by q0^2, so the
+    profile is bitwise identical for every q0 > 0.
+    """
+    if problem.q0 <= 0.0:
+        raise DomainError("shape optimization needs a positive root heat input")
+    mesh = Mesh(options.n_cells, length)
+    unit_problem = replace(problem, q0=1.0)
+    load_scale = problem.q0 * problem.q0
+
+    values, slope, support = _solve_optimality_conditions(
+        problem, length, options.n_cells
+    )
+    start = feasible_constant_profile(mesh, problem.area)
+    start_compliance = variational_compliance(
+        unit_problem, start, solve_temperature(unit_problem, start)
+    )
+    profile = ThicknessProfile(mesh, values)
+    theta_hat = solve_temperature(unit_problem, profile)
+    certificate = _certify(problem, profile, theta_hat, slope, support)
+    current = variational_compliance(unit_problem, profile, theta_hat)
+
+    start_area_error = abs(start.area - problem.area) / problem.area
+    history = (
+        InnerIteration(load_scale * start_compliance, start_area_error, math.inf),
+        InnerIteration(
+            load_scale * current,
+            certificate.area_error,
+            float(np.max(np.abs(values - start.values) / start.values)),
+        ),
+    )
+    return OptimizationReport(
+        profile=profile,
+        length=mesh.length,
+        compliance=load_scale * current,
+        lagrange_multiplier=load_scale * problem.k * slope * slope,
+        inner_iterations=1,
+        history=history,
+        optimality=evaluate_profile_optimality(problem, profile),
+        certificate=certificate,
+    )
 
 
 def _oc_step(
@@ -207,22 +362,25 @@ def _oc_step(
     return float(s) ** (-1.0 / eta), np.clip(c * s, low, high)
 
 
-def optimize_profile(
+def _optimize_profile_oc(
     problem: FinProblem,
     length: float,
-    options: OptimizerOptions = OptimizerOptions(),
+    n_cells: int,
+    max_iters: int = 500,
     initial_profile: ThicknessProfile | None = None,
-) -> OptimizationReport:
-    """Optimality-criteria minimization of compliance at fixed fin length.
+    eta: float = 0.5,
+    move: float = 0.2,
+    tol: float = 1e-8,
+) -> tuple[ThicknessProfile, float, tuple[InnerIteration, ...]]:
+    """OC iteration to the stationary profile: the test oracle.
 
-    The iteration runs on the unit-load solve and rescales compliance by
-    q0^2 afterwards: the optimal shape does not depend on the load
-    magnitude, and factoring it out makes the profile trajectory bitwise
-    identical for every q0 > 0.
+    Each step scales every face by (density / lambda)^eta, clipped to a
+    relative move limit and floored, with lambda solved exactly from the
+    area budget.  It stops when no face changes by more than tol, or after
+    max_iters steps.  Returns (profile, lagrange_multiplier, history); the
+    run converged when history[-1].max_change <= tol.
     """
-    if problem.q0 <= 0.0:
-        raise DomainError("shape optimization needs a positive root heat input")
-    mesh = Mesh(options.n_cells, length)
+    mesh = Mesh(n_cells, length)
     floor = thickness_floor(problem, length)
     target_area = problem.area
     unit_problem = replace(problem, q0=1.0)
@@ -236,8 +394,6 @@ def optimize_profile(
                 "initial profile mesh does not match the requested discretization"
             )
         values = np.maximum(initial_profile.values, floor)
-    if float(np.min(values)) < floor:
-        raise DomainError("initial profile is below the thickness floor")
 
     dx = mesh.dx
     profile = ThicknessProfile(mesh, values)
@@ -255,14 +411,12 @@ def optimize_profile(
     ]
 
     lam = math.nan
-    iterations = 0
     rises = 0
-    for iterations in range(1, options.max_inner_iters + 1):
+    for _ in range(max_iters):
         dtheta = np.diff(theta_hat.values) / dx
         density = problem.k * dtheta * dtheta
         lam, new_values = _oc_step(
-            values, density, target_area, floor, dx,
-            options.oc_damping, options.move_limit,
+            values, density, target_area, floor, dx, eta, move
         )
         area_error = abs(_face_integral(new_values, dx) - target_area) / target_area
         if area_error > AREA_TOL:
@@ -290,19 +444,10 @@ def optimize_profile(
             rises = 0
         current = updated
 
-        if max_change <= options.converge_tol:
+        if max_change <= tol:
             break
 
-    return OptimizationReport(
-        profile=profile,
-        length=mesh.length,
-        compliance=load_scale * current,
-        lagrange_multiplier=load_scale * lam,
-        inner_iterations=iterations,
-        history=tuple(history),
-        optimality=evaluate_profile_optimality(problem, profile),
-        converged=history[-1].max_change <= options.converge_tol,
-    )
+    return profile, load_scale * lam, tuple(history)
 
 
 def _support_length(profile: ThicknessProfile, floor: float) -> float:
@@ -333,10 +478,10 @@ def _support_length(profile: ThicknessProfile, floor: float) -> float:
 def _long_fin_length(problem: FinProblem, n_cells: int) -> float:
     """About LONG_FIN_FACTOR closed-form lengths, with that length mid-cell.
 
-    When a node lies within a few percent of a cell of the support edge,
-    the face before it creeps toward the floor for hundreds of iterations;
-    midway between two nodes the run needs about as few iterations as at
-    any other position.
+    The OC oracle stalls for hundreds of iterations when a node lies within
+    a few percent of a cell of the support edge; midway between two nodes
+    it converges as fast as anywhere, so the oracle tests can reach the
+    long fin's optimum.
     """
     edge_cells = n_cells // LONG_FIN_FACTOR + 0.5
     return analytic.optimal_length(problem) * n_cells / edge_cells
@@ -349,18 +494,17 @@ def optimize_length(
 
     The first run optimizes a fin about LONG_FIN_FACTOR times the
     closed-form optimal length; the support of its profile is the optimal
-    length.  The second run optimizes at that length and is the result.
+    length.  The second run optimizes at that length and is the result; it
+    keeps the first in long_fin.
     """
     long_fin = optimize_profile(
         problem, _long_fin_length(problem, options.n_cells), options
     )
-    if not long_fin.converged:
-        raise OptimizationError(
-            f"the long-fin run did not converge in {long_fin.inner_iterations} "
-            f"iterations (last change {long_fin.history[-1].max_change:g})"
-        )
     floor = thickness_floor(problem, long_fin.length)
-    return optimize_profile(problem, _support_length(long_fin.profile, floor), options)
+    result = optimize_profile(
+        problem, _support_length(long_fin.profile, floor), options
+    )
+    return replace(result, long_fin=long_fin)
 
 
 def evaluate_profile_optimality(

@@ -37,17 +37,6 @@ def write_temperature_csv(path: Path, x: np.ndarray, theta: np.ndarray) -> None:
     _write_rows(path, ("x", "theta"), zip(x, theta))
 
 
-def write_history_csv(path: Path, history) -> None:
-    _write_rows(
-        path,
-        ("iteration", "compliance", "area_error", "max_change"),
-        (
-            (float(i), h.compliance, h.area_error, h.max_change)
-            for i, h in enumerate(history)
-        ),
-    )
-
-
 def write_table_json(path: Path, columns: Sequence[str], rows) -> None:
     payload = {
         "columns": list(columns),

@@ -1,6 +1,7 @@
-"""Fixed-length OC iteration, optimal length, and optimality verification."""
+"""Direct optimal profile, its OC oracle, optimal length, and optimality checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from finopt import (
     DomainError,
     FinProblem,
+    OptimalityCertificate,
     OptimizationError,
     OptimizerOptions,
     duffin_equivalent_flux,
@@ -22,8 +24,15 @@ from finopt import (
     optimize_profile,
     verify_optimality,
 )
+from finopt import kernels
 from finopt.mesh import Mesh, ThicknessProfile
-from finopt.optimizer import _face_integral, _oc_step
+from finopt.optimizer import (
+    _face_integral,
+    _long_fin_length,
+    _oc_step,
+    _optimize_profile_oc,
+)
+from finopt.solver import assemble_fin_system, thickness_floor
 from conftest import ORACLE_H20, optimal_profile, rectangular_profile
 
 N_CELLS = 1000
@@ -37,6 +46,12 @@ def problem():
 @pytest.fixture(scope="module")
 def fixed_length_report(problem):
     return optimize_profile(problem, optimal_length(problem), OptimizerOptions())
+
+
+@pytest.fixture(scope="module")
+def oracle_run(problem):
+    """(profile, lagrange_multiplier, history) of the OC oracle at L*."""
+    return _optimize_profile_oc(problem, optimal_length(problem), N_CELLS)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +75,19 @@ class TestOptionsValidation:
         ],
     )
     def test_rejects_bad_options(self, kwargs):
-        with pytest.raises(DomainError):
+        # n_cells is range-checked; the OC knobs went with the iteration, so
+        # passing one at all is a TypeError.
+        error = DomainError if "n_cells" in kwargs else TypeError
+        with pytest.raises(error):
             OptimizerOptions(**kwargs)
+
+    def test_initial_profile_argument_is_gone(self, problem):
+        start = rectangular_profile(problem, N_CELLS)
+        with pytest.raises(TypeError):
+            optimize_profile(
+                problem, optimal_length(problem), OptimizerOptions(),
+                initial_profile=start,
+            )
 
     def test_defaults_are_valid(self):
         opts = OptimizerOptions()
@@ -88,18 +114,21 @@ class TestFixedLengthOptimization:
         gap = np.max(np.abs(report.profile.values[mask] - target[mask]))
         assert gap <= 1e-5 * target[0]
 
-    def test_history_is_monotone_within_slack(self, fixed_length_report):
-        c = np.array([row.compliance for row in fixed_length_report.history])
-        rises = np.diff(c) / c[:-1]
-        assert np.max(rises) <= 1e-12
+    def test_history_is_monotone_within_slack(self, fixed_length_report, oracle_run):
+        # The report's history is the constant start and the result; the
+        # oracle's is every OC step.
+        for history in (fixed_length_report.history, oracle_run[2]):
+            c = np.array([row.compliance for row in history])
+            rises = np.diff(c) / c[:-1]
+            assert np.max(rises) <= 1e-12
 
     def test_history_starts_at_feasible_constant(self, problem, fixed_length_report):
         first = fixed_length_report.history[0]
         assert first.max_change == np.inf
         assert first.area_error <= 1e-12
 
-    def test_every_iteration_keeps_the_area_budget(self, fixed_length_report):
-        for row in fixed_length_report.history:
+    def test_every_iteration_keeps_the_area_budget(self, fixed_length_report, oracle_run):
+        for row in fixed_length_report.history + oracle_run[2]:
             assert row.area_error <= 1e-10
 
     def test_final_profile_area(self, problem, fixed_length_report):
@@ -107,10 +136,10 @@ class TestFixedLengthOptimization:
             problem.area, rel=1e-10
         )
 
-    def test_converged_change_below_tolerance(self, fixed_length_report):
-        assert fixed_length_report.history[-1].max_change <= 1e-8
-        assert fixed_length_report.inner_iterations < 500
-        assert fixed_length_report.converged
+    def test_converged_change_below_tolerance(self, oracle_run):
+        history = oracle_run[2]
+        assert history[-1].max_change <= 1e-8
+        assert len(history) - 1 < 500
 
     def test_lagrange_multiplier_close_to_closed_form(self, problem, fixed_length_report):
         assert fixed_length_report.lagrange_multiplier == pytest.approx(
@@ -120,27 +149,26 @@ class TestFixedLengthOptimization:
     def test_restart_from_converged_profile_is_a_fixed_point(
         self, problem, fixed_length_report
     ):
-        report = optimize_profile(
+        # The directly solved profile is a fixed point of the OC oracle.
+        profile, _, history = _optimize_profile_oc(
             problem,
             fixed_length_report.length,
-            OptimizerOptions(),
+            N_CELLS,
             initial_profile=fixed_length_report.profile,
         )
-        assert report.inner_iterations <= 3
+        assert len(history) - 1 <= 3
         assert np.allclose(
-            report.profile.values, fixed_length_report.profile.values, rtol=1e-7
+            profile.values, fixed_length_report.profile.values, rtol=1e-7
         )
 
-    def test_floored_closed_form_profile_is_near_fixed_point(
-        self, problem, fixed_length_report
-    ):
+    def test_floored_closed_form_profile_is_near_fixed_point(self, problem, oracle_run):
         # starting at the closed form only has to resolve the tip transition,
-        # so it converges well before the constant cold start does
+        # so the oracle converges well before the constant cold start does
         start = optimal_profile(problem, N_CELLS)
-        report = optimize_profile(
-            problem, optimal_length(problem), OptimizerOptions(), initial_profile=start
+        _, _, history = _optimize_profile_oc(
+            problem, optimal_length(problem), N_CELLS, initial_profile=start
         )
-        assert report.inner_iterations <= fixed_length_report.inner_iterations - 50
+        assert len(history) <= len(oracle_run[2]) - 50
 
     def test_load_invariance_is_bitwise(self, problem, fixed_length_report):
         length = fixed_length_report.length
@@ -169,22 +197,26 @@ class TestFixedLengthOptimization:
             optimize_profile(cold, 0.1, OptimizerOptions())
 
     def test_unreachable_area_budget_raises(self, problem):
-        # Half again the budget on every face: the 20 % move limit cannot
-        # bring the area back in one step, so the step's area check fails.
+        # Half again the budget on every face: the oracle's 20 % move limit
+        # cannot bring the area back in one step, so the step's check fails.
         length = optimal_length(problem)
         mesh = Mesh(200, length)
         start = ThicknessProfile.constant(mesh, 1.5 * problem.area / length)
         with pytest.raises(OptimizationError, match="area budget"):
-            optimize_profile(
-                problem, length, OptimizerOptions(n_cells=200), initial_profile=start
-            )
+            _optimize_profile_oc(problem, length, 200, initial_profile=start)
 
     def test_rejects_initial_profile_on_wrong_mesh(self, problem):
         wrong = rectangular_profile(problem, 123)
         with pytest.raises(DomainError):
-            optimize_profile(
-                problem, optimal_length(problem), OptimizerOptions(), initial_profile=wrong
+            _optimize_profile_oc(
+                problem, optimal_length(problem), N_CELLS, initial_profile=wrong
             )
+
+    def test_budget_below_the_floor_raises(self, problem):
+        # 200 closed-form lengths: the floor alone, 1e-6 (h/k) L^2 on every
+        # face, needs more area than the budget.
+        with pytest.raises(OptimizationError, match="thickness floor"):
+            optimize_profile(problem, 200.0 * optimal_length(problem))
 
 
 def _oc_inputs(case):
@@ -301,9 +333,24 @@ class TestLengthSearch:
             k=10.0**log_k, h=10.0**log_h, area=10.0**log_area, q0=10.0**log_q0
         )
         report = optimize_length(drawn, OptimizerOptions(n_cells=n_cells))
-        assert report.converged
         assert abs(report.length / optimal_length(drawn) - 1.0) <= 1e-2
         assert abs(report.compliance / optimal_compliance(drawn) - 1.0) <= 1e-2
+
+    @pytest.mark.parametrize("n_cells", range(8, 32))
+    def test_recovers_closed_form_on_coarse_meshes(self, problem, n_cells):
+        # Below 32 cells the support fit has few faces: L/L* - 1 is 1.35e-2
+        # at n = 8 and falls to 7.4e-4 at n = 31.
+        report = optimize_length(problem, OptimizerOptions(n_cells=n_cells))
+        assert abs(report.length / optimal_length(problem) - 1.0) <= 2e-2
+        assert abs(report.compliance / optimal_compliance(problem) - 1.0) <= 1e-2
+
+    def test_keeps_the_long_fin_run(self, problem, searched_report):
+        long_fin = searched_report.long_fin
+        assert long_fin.length == _long_fin_length(problem, N_CELLS)
+        assert long_fin.long_fin is None
+        assert long_fin.certificate.support_faces < N_CELLS
+        edge = long_fin.profile.mesh.faces[long_fin.certificate.support_faces]
+        assert abs(searched_report.length / edge - 1.0) <= 1e-2
 
     def test_high_h_case(self):
         hot = FinProblem(k=200.0, h=200.0, area=1.6e-4, q0=20.0)
@@ -316,10 +363,6 @@ class TestLengthSearch:
         with pytest.raises(OptimizationError, match="too coarse"):
             optimize_length(problem, OptimizerOptions(n_cells=4))
 
-    def test_unconverged_long_fin_raises(self, problem):
-        with pytest.raises(OptimizationError, match="did not converge"):
-            optimize_length(problem, OptimizerOptions(max_inner_iters=40))
-
     def test_searched_compliance_beats_nearby_lengths(self, problem, searched_report):
         # left/right probes confirm an interior minimum was found
         for factor in (0.9, 1.1):
@@ -327,3 +370,171 @@ class TestLengthSearch:
                 problem, factor * searched_report.length, OptimizerOptions()
             )
             assert probe.compliance >= searched_report.compliance
+
+
+# The three problems of the result tables: the baseline, a high-h fin and a
+# low-conductivity one, all scaled copies of one dimensionless problem.
+ORACLE_PROBLEMS = {
+    "k200-h20": FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0),
+    "k200-h200": FinProblem(k=200.0, h=200.0, area=1.6e-4, q0=20.0),
+    "k3.7-h812": FinProblem(k=3.7, h=812.0, area=2.3e-6, q0=0.31),
+}
+LENGTHS = {
+    "L*": lambda p, n: optimal_length(p),
+    "0.8L*": lambda p, n: 0.8 * optimal_length(p),
+    "long": _long_fin_length,
+}
+
+
+def _assert_matches_oracle(problem, length, n_cells):
+    """The direct solve and the converged OC oracle reach one profile.
+
+    The oracle gets 5000 steps: with a node near the support edge it needs
+    up to 2546.
+    """
+    report = optimize_profile(problem, length, OptimizerOptions(n_cells=n_cells))
+    profile, lam, history = _optimize_profile_oc(problem, length, n_cells, max_iters=5000)
+    assert history[-1].max_change <= 1e-8, "the oracle did not converge"
+    values = report.profile.values
+    assert np.max(np.abs(profile.values - values)) <= 1e-9 * values[0]
+    assert abs(history[-1].compliance / report.compliance - 1.0) <= 1e-13
+    assert abs(lam / report.lagrange_multiplier - 1.0) <= 1e-8
+    # The oracle's floored faces sit exactly at the floor, so its support
+    # is the KKT support: the direct solve's m is neither short nor long.
+    floor = thickness_floor(problem, length)
+    assert np.count_nonzero(profile.values > floor) == report.certificate.support_faces
+    return report, history
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("length", list(LENGTHS))
+    @pytest.mark.parametrize("n_cells", [32, 200, 1000, 4000])
+    @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+    def test_agrees_with_oc_oracle(self, name, n_cells, length):
+        problem = ORACLE_PROBLEMS[name]
+        _assert_matches_oracle(problem, LENGTHS[length](problem, n_cells), n_cells)
+
+    @pytest.mark.parametrize(
+        ("n_cells", "factor"), [(8, 1), (16, 1), (32, 1), (64, 1), (60, 3), (96, 3)]
+    )
+    def test_oracle_stall_cases(self, problem, n_cells, factor):
+        # The OC loop needs 351 to 2546 iterations here: a node sits near
+        # the support edge.  The direct solve has no iteration to stall.
+        _, history = _assert_matches_oracle(
+            problem, factor * optimal_length(problem), n_cells
+        )
+        assert len(history) - 1 > 300
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_support_is_maximal(self, problem, factor):
+        # Lift the first floored face to twice the floor, paid for by the
+        # root face: the oracle takes it back down to the floor, so no
+        # longer support is optimal.
+        length = factor * optimal_length(problem)
+        report = optimize_profile(problem, length, OptimizerOptions(n_cells=200))
+        m = report.certificate.support_faces
+        floor = thickness_floor(problem, length)
+        assert m < 200
+        values = np.array(report.profile.values)
+        values[m] += floor
+        values[0] -= floor
+        profile, _, _ = _optimize_profile_oc(
+            problem, length, 200, max_iters=5000,
+            initial_profile=report.profile.with_values(values),
+        )
+        assert np.all(profile.values[m:] == floor)
+        assert np.count_nonzero(profile.values > floor) == m
+
+    def test_certificate(self, fixed_length_report):
+        certificate = fixed_length_report.certificate
+        assert isinstance(certificate, OptimalityCertificate)
+        assert certificate.support_faces == 999
+        assert certificate.density_spread <= 1e-9
+        assert 0.0 < certificate.floored_density_ratio <= 1.0
+        assert certificate.area_error <= 1e-10
+        assert fixed_length_report.inner_iterations == 1
+
+    def test_whole_fin_active_below_the_optimal_length(self, problem):
+        report = optimize_profile(
+            problem, 0.8 * optimal_length(problem), OptimizerOptions(n_cells=200)
+        )
+        assert report.certificate.support_faces == 200
+        assert report.certificate.floored_density_ratio == 0.0
+
+    def test_hundred_thousand_cells(self, problem):
+        report = optimize_profile(
+            problem, optimal_length(problem), OptimizerOptions(n_cells=100_000)
+        )
+        assert report.certificate.floored_density_ratio <= 1.0
+        assert report.certificate.density_spread <= 1e-6
+        assert abs(report.compliance / optimal_compliance(problem) - 1.0) <= 1e-8
+
+
+class TestOcOracle:
+    def test_stops_unconverged_at_the_iteration_cap(self, problem):
+        _, _, history = _optimize_profile_oc(
+            problem, optimal_length(problem), N_CELLS, max_iters=40
+        )
+        assert len(history) - 1 == 40
+        assert history[-1].max_change > 1e-8
+
+
+class TestPaperClaims:
+    @given(
+        log_k=st.floats(0.0, 3.0),
+        log_h=st.floats(0.0, 3.0),
+        log_area=st.floats(-6.0, -3.0),
+        log_q0=st.floats(-1.0, 3.0),
+        n_cells=st.integers(8, 4000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_one_dimensionless_profile(self, log_k, log_h, log_area, log_q0, n_cells):
+        # With x / L* and t k / (h L*^2) every problem is the same problem,
+        # so the scaled optimal profiles coincide.
+        drawn = FinProblem(
+            k=10.0**log_k, h=10.0**log_h, area=10.0**log_area, q0=10.0**log_q0
+        )
+        scaled = []
+        for p in (drawn, ORACLE_PROBLEMS["k200-h20"]):
+            length = optimal_length(p)
+            report = optimize_profile(p, length, OptimizerOptions(n_cells=n_cells))
+            scaled.append(report.profile.values * p.k / (p.h * length * length))
+        assert np.max(np.abs(scaled[0] - scaled[1])) <= 1e-12
+
+    def test_same_optimum_at_fixed_root_temperature(self, problem, fixed_length_report):
+        # The optimum of compliance at a fixed heat input also maximizes the
+        # heat rate at a fixed root temperature: q = theta0 / R.  The two
+        # solves round the convection, next to conductances 5e5 times larger,
+        # in different orders: they agree to about 1e-12, not to eps.
+        theta0 = 50.0
+        profile = fixed_length_report.profile
+        resistance = fixed_length_report.compliance / problem.q0**2
+        assert abs(_heat_rate(problem, profile, theta0) * resistance / theta0 - 1) <= 1e-11
+
+        best = _heat_rate(problem, profile, theta0)
+        m = fixed_length_report.certificate.support_faces
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            direction = rng.standard_normal(m)
+            direction -= direction.mean()
+            values = np.array(profile.values)
+            values[:m] *= 1.0 + 1e-3 * direction / np.max(np.abs(direction))
+            values[:m] *= (problem.area / profile.mesh.dx - values[m:].sum()) / values[
+                :m
+            ].sum()
+            perturbed = profile.with_values(values)
+            assert abs(perturbed.area / problem.area - 1.0) <= 1e-12
+            assert _heat_rate(problem, perturbed, theta0) <= best * (1.0 + 1e-12)
+
+
+def _heat_rate(problem, profile, theta0):
+    """Heat rate into the fin with its root held at theta0.
+
+    The nodes past the root are solved with theta0 as a boundary value; the
+    heat rate is what the fin sheds, a sum of positive terms.
+    """
+    diag, off, _ = assemble_fin_system(problem, profile)
+    rhs = np.zeros(diag.size - 1)
+    rhs[0] = -off[0] * theta0
+    theta = np.concatenate(([theta0], kernels.solve_spd_tridiagonal(diag[1:], off[1:], rhs)))
+    return 2.0 * problem.h * math.fsum(theta * profile.mesh.node_weights)
