@@ -2,8 +2,9 @@
 
 One sequential pass of Gaussian elimination without pivoting.  It is the
 tail of the cyclic-reduction kernel in ``kernels``, which hands it every
-system of at most ``kernels.THOMAS_ROWS`` rows, and, applied to a whole
-system, that kernel's test oracle.  The loops run on Python floats
+system of at most ``kernels.THOMAS_ROWS`` rows with the diagonal it forms
+from the row sums, and, applied to a whole system, that kernel's test
+oracle.  The loops run on Python floats
 (lists), which is several times faster than indexing numpy arrays element
 by element.
 """

@@ -1,5 +1,11 @@
 """Tridiagonal solve for symmetric positive definite systems.
 
+A matrix is given by its row sums and its one off-diagonal, which serves
+as both the sub- and the superdiagonal: it is symmetric by construction,
+and no caller forms its diagonal.  In the fin model the row sums are the
+convection, which a diagonal would round away next to conductances up to
+~1e10 times larger.
+
 Odd-even cyclic reduction (Hockney, J. ACM 12, 1965) in whole-array numpy
 operations.  The odd rows of a tridiagonal system couple only to even
 rows, so one level eliminates all of them at once and leaves a tridiagonal
@@ -43,24 +49,25 @@ def get_backend() -> str:
 
 
 def solve_spd_tridiagonal(
-    diag: np.ndarray, off: np.ndarray, rhs: np.ndarray
+    rowsum: np.ndarray, off: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve the SPD tridiagonal system defined by (diag, off) for rhs.
+    """Solve the SPD tridiagonal system defined by (rowsum, off) for rhs.
 
-    ``diag`` is the main diagonal (length m), ``off`` the sub/super
-    diagonal (length m - 1).  Raises ValueError for inputs of the wrong
-    shape and numpy.linalg.LinAlgError when the matrix is not positive
-    definite.  Pure function; safe to call from multiple threads.
+    ``rowsum`` holds the row sums of the matrix (length m), ``off`` its
+    sub/super diagonal (length m - 1); the diagonal is rowsum - off_left -
+    off_right.  Raises ValueError for inputs of the wrong shape and
+    numpy.linalg.LinAlgError when the matrix is not positive definite.
+    Pure function; safe to call from multiple threads.
     """
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
+    s = np.ascontiguousarray(rowsum, dtype=np.float64)
     off = np.ascontiguousarray(off, dtype=np.float64)
     rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    if diag.ndim != 1 or off.ndim != 1 or rhs.ndim != 1:
+    if s.ndim != 1 or off.ndim != 1 or rhs.ndim != 1:
         raise ValueError(
-            f"diag, off and rhs must be 1-D, got shapes "
-            f"{diag.shape}, {off.shape} and {rhs.shape}"
+            f"rowsum, off and rhs must be 1-D, got shapes "
+            f"{s.shape}, {off.shape} and {rhs.shape}"
         )
-    m = diag.shape[0]
+    m = s.shape[0]
     if m < 1:
         raise ValueError("empty system")
     if off.shape[0] != m - 1:
@@ -68,21 +75,11 @@ def solve_spd_tridiagonal(
     if rhs.shape[0] != m:
         raise ValueError(f"rhs has length {rhs.shape[0]}, expected {m}")
 
-    if m <= THOMAS_ROWS:
-        return solve_thomas(diag, off, rhs)
-
     # The levels carry row sums s = d + e_left + e_right instead of the
     # diagonal.  In the fin model s is the convection, small next to the
     # conductances -e, and every level's d = s - e_left - e_right and
     # s_next = s - (e / d) s sum positive terms where d_next = d - e**2 / d
-    # would cancel.  Adding the more negative off-diagonal first makes both
-    # additions that form s exact there (Sterbenz lemma).  Row j of level l
-    # is row j * 2**l of the matrix.
-    s = diag.copy()
-    s[1:-1] += np.minimum(off[:-1], off[1:])
-    s[1:-1] += np.maximum(off[:-1], off[1:])
-    s[0] += off[0]
-    s[-1] += off[-1]
+    # would cancel.  Row j of level l is row j * 2**l of the matrix.
     e, b = off, rhs
     levels = []
     while s.shape[0] > THOMAS_ROWS:

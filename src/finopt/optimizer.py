@@ -58,7 +58,7 @@ AREA_TOL = 1e-10
 
 #: Slack of the certificate's floored-face condition, max floored density
 #: <= lambda (1 + DENSITY_SLACK).  The densities come from a solve whose
-#: rounding spreads them over the support by about 4e-7 at 1e5 cells; a
+#: rounding spreads them over the support by about 1e-10 at 1e5 cells; a
 #: support one face short of the optimum shows a ratio of 1.01 there, and
 #: of 1.09 or more on 1e4 cells or fewer.
 DENSITY_SLACK = 1e-6
@@ -105,7 +105,10 @@ class OptimalityCheck:
     grad_temp_cv                 spread of dtheta/dx where it should be constant
     thickness_grad_linfit_residual  misfit of dt/dx to a straight line
     tip_temp_ratio               theta(tip) / theta(root)
-    selfadjoint_gap              max |w - theta| / theta(root)
+    selfadjoint_gap              max |w - theta| / theta(root): whether the
+                                 adjoint solve, with its own load dC/dtheta,
+                                 reproduces theta (the operator is symmetric
+                                 by construction)
     grad_temp_mean               mean dtheta/dx (should be -q0 / (h L^2))
     thickness_slope              fitted d(dt/dx)/dx (should be 2 h / k)
     """

@@ -1,9 +1,11 @@
 """Adjoint-based sensitivity of compliance to the thickness profile.
 
 The compliance C = q0 * theta(0) of the discrete model A theta = b has the
-adjoint system A^T w = dC/dtheta = q0 * e0.  Because the fin operator is
-self-adjoint and the adjoint load coincides with the heat input, w equals
-theta; the code still assembles and solves the adjoint on its own so that
+adjoint system A^T w = dC/dtheta = q0 * e0.  The fin operator is stored
+once, as row sums and one off-diagonal (see kernels), so A^T = A by
+construction and the adjoint reuses the primal assembly; it differs only
+by its load, which it builds itself.  That load coincides with the heat
+input, so w equals theta; the adjoint is still solved on its own, so that
 the identity is observed rather than assumed.
 
 Each face value enters the matrix only through its own link conductance,
@@ -27,7 +29,7 @@ from . import kernels
 from .errors import DomainError, SolverError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
-from .solver import compliance, solve_temperature, thickness_floor
+from .solver import assemble_fin_system, compliance, solve_temperature, thickness_floor
 
 __all__ = [
     "AdjointField",
@@ -61,28 +63,6 @@ class AdjointField:
         return float(self.values[0])
 
 
-def _assemble_adjoint_system(
-    problem: FinProblem, profile: ThicknessProfile
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the transposed operator and the objective-derivative load.
-
-    Built by accumulating link conductances node by node, a separate code
-    path from the primal assembly; the operator it produces must come out
-    symmetric, which the caller checks against the primal matrix shape.
-    """
-    mesh = profile.mesh
-    conductance = problem.k * profile.values / mesh.dx
-
-    diag = 2.0 * problem.h * np.array(mesh.node_weights)
-    diag[:-1] += conductance
-    diag[1:] += conductance
-    off = -conductance
-
-    load = np.zeros(mesh.n_nodes, dtype=np.float64)
-    load[0] = problem.q0  # dC/dtheta_0 for C = q0 * theta_0
-    return diag, off, load
-
-
 def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> AdjointField:
     """Solve the adjoint system for the compliance objective."""
     mesh = profile.mesh
@@ -92,9 +72,11 @@ def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> AdjointFiel
             f"profile has faces below the thickness floor {floor:g}; "
             "clip it before solving"
         )
-    diag, off, load = _assemble_adjoint_system(problem, profile)
+    convection, off, _ = assemble_fin_system(problem, profile)
+    load = np.zeros(mesh.n_nodes, dtype=np.float64)
+    load[0] = problem.q0  # dC/dtheta_0 for C = q0 * theta_0
     try:
-        w = kernels.solve_spd_tridiagonal(diag, off, load)
+        w = kernels.solve_spd_tridiagonal(convection, off, load)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"adjoint solve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):

@@ -51,21 +51,19 @@ def thickness_floor(problem: FinProblem, length: float) -> float:
 def assemble_fin_system(
     problem: FinProblem, profile: ThicknessProfile
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (diag, off, rhs) of the SPD tridiagonal system for theta."""
+    """Build (rowsum, off, rhs) of the SPD tridiagonal system for theta.
+
+    The row sums are the convection 2h * w_i at each node and the
+    off-diagonal is minus the link conductances k * t_face / dx: the
+    conductive fluxes cancel across each row, so the diagonal is never
+    formed (see kernels).
+    """
     mesh = profile.mesh
-    dx = mesh.dx
-    conductance = problem.k * profile.values / dx
     convection = 2.0 * problem.h * mesh.node_weights
-
-    diag = np.empty(mesh.n_nodes, dtype=np.float64)
-    diag[0] = conductance[0] + convection[0]
-    diag[1:-1] = (conductance[:-1] + conductance[1:]) + convection[1:-1]
-    diag[-1] = conductance[-1] + convection[-1]
-    off = -conductance
-
+    off = -(problem.k * profile.values / mesh.dx)
     rhs = np.zeros(mesh.n_nodes, dtype=np.float64)
     rhs[0] = problem.q0
-    return diag, off, rhs
+    return convection, off, rhs
 
 
 def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
@@ -81,9 +79,9 @@ def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> Tempera
             f"profile has faces below the thickness floor {floor:g}; "
             "clip it before solving"
         )
-    diag, off, rhs = assemble_fin_system(problem, profile)
+    convection, off, rhs = assemble_fin_system(problem, profile)
     try:
-        theta = kernels.solve_spd_tridiagonal(diag, off, rhs)
+        theta = kernels.solve_spd_tridiagonal(convection, off, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta)):
@@ -105,14 +103,14 @@ def variational_compliance(
     computed solution its error is quadratic in the solve round-off rather
     than linear, so successive values can be compared down to ~1e-15
     relative.  The quadratic form is summed term by term (every term is
-    nonnegative) with exact accumulation.
+    nonnegative) with exact accumulation, from the assembled operator.
     """
     if field.mesh != profile.mesh:
         raise DomainError("temperature field and profile live on different meshes")
-    mesh = profile.mesh
+    rowsum, off, _ = assemble_fin_system(problem, profile)
     theta = field.values
-    conduction = (problem.k * profile.values / mesh.dx) * np.square(np.diff(theta))
-    convection = (2.0 * problem.h * mesh.node_weights) * np.square(theta)
+    conduction = -off * np.square(np.diff(theta))
+    convection = rowsum * np.square(theta)
     energy = math.fsum(conduction.tolist()) + math.fsum(convection.tolist())
     return 2.0 * problem.q0 * field.root_value - energy
 

@@ -23,32 +23,37 @@ from conftest import optimal_profile, rectangular_profile
 def random_spd_system(n, seed):
     rng = np.random.default_rng(seed)
     off = -rng.uniform(0.1, 2.0, n - 1)
-    diag = np.zeros(n)
-    diag[:-1] -= off
-    diag[1:] -= off
-    diag += rng.uniform(0.05, 1.0, n)  # diagonally dominant -> SPD
+    rowsum = rng.uniform(0.05, 1.0, n)  # diagonally dominant -> SPD
     rhs = rng.standard_normal(n)
-    return diag, off, rhs
+    return rowsum, off, rhs
 
 
-def dense(diag, off):
-    a = np.diag(diag)
+def diagonal(rowsum, off):
+    """The diagonal, formed as the kernel's Thomas tail forms it."""
+    d = np.array(rowsum, dtype=np.float64)
+    d[:-1] -= off
+    d[1:] -= off
+    return d
+
+
+def dense(rowsum, off):
+    a = np.diag(diagonal(rowsum, off))
     a += np.diag(off, 1) + np.diag(off, -1)
     return a
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1001])
 def test_matches_dense_solve(n):
-    diag, off, rhs = random_spd_system(n, seed=n)
-    x = kernels.solve_spd_tridiagonal(diag, off, rhs)
-    x_ref = np.linalg.solve(dense(diag, off), rhs)
+    rowsum, off, rhs = random_spd_system(n, seed=n)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+    x_ref = np.linalg.solve(dense(rowsum, off), rhs)
     assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-14)
 
 
 def test_residual_is_small():
-    diag, off, rhs = random_spd_system(2000, seed=7)
-    x = kernels.solve_spd_tridiagonal(diag, off, rhs)
-    r = dense(diag, off) @ x - rhs
+    rowsum, off, rhs = random_spd_system(2000, seed=7)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+    r = dense(rowsum, off) @ x - rhs
     assert np.max(np.abs(r)) <= 1e-12 * np.max(np.abs(rhs))
 
 
@@ -74,23 +79,35 @@ def test_rejects_mismatched_shapes():
 
 
 def test_rejects_non_spd_pivot():
-    # indefinite matrix: elimination hits a nonpositive pivot
+    # indefinite matrices: elimination hits a nonpositive pivot.  Diagonal
+    # (1, 1) with off -2 has row sums -1; diagonal (-1, 1) with off 0 keeps
+    # its diagonal as row sums.
     with pytest.raises(np.linalg.LinAlgError):
-        kernels.solve_spd_tridiagonal([1.0, 1.0], [-2.0], [1.0, 1.0])
+        kernels.solve_spd_tridiagonal([-1.0, -1.0], [-2.0], [1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError):
         kernels.solve_spd_tridiagonal([-1.0, 1.0], [0.0], [1.0, 1.0])
 
 
 def indefinite_system(n=1001):
-    """diag 1, off -2: the first level's pivots are 1, the second's -7."""
-    return np.ones(n), np.full(n - 1, -2.0), np.ones(n)
+    """diag 1, off -2: the first level's pivots are 1, the second's -7.
+
+    The row sums are 1 - 2 - 2 = -3 inside and 1 - 2 = -1 at the ends.
+    """
+    rowsum = np.full(n, -3.0)
+    rowsum[[0, -1]] = -1.0
+    return rowsum, np.full(n - 1, -2.0), np.ones(n)
 
 
-def with_diagonal_entry(row, value, n=1001):
-    """Diagonally dominant system (diag 4, off -1) with one diagonal entry replaced."""
-    diag, off = np.full(n, 4.0), np.full(n - 1, -1.0)
-    diag[row] = value
-    return diag, off, np.ones(n)
+def with_rowsum_entry(row, value, n=1001):
+    """Diagonally dominant system (diag 4, off -1) with one row sum replaced.
+
+    Its row sums are 2 inside and 3 at the ends; an inside row sum of -2
+    makes that row's diagonal 0.
+    """
+    rowsum, off = np.full(n, 2.0), np.full(n - 1, -1.0)
+    rowsum[[0, -1]] = 3.0
+    rowsum[row] = value
+    return rowsum, off, np.ones(n)
 
 
 @pytest.mark.parametrize(
@@ -99,10 +116,10 @@ def with_diagonal_entry(row, value, n=1001):
         pytest.param(indefinite_system(), id="indefinite"),
         # Row 501 is odd: its pivot is its own diagonal, checked at the
         # first level, where every other pivot is 4.
-        pytest.param(with_diagonal_entry(501, 0.0), id="zero-odd-pivot"),
-        pytest.param(with_diagonal_entry(501, np.nan), id="nan-first-level"),
-        pytest.param(with_diagonal_entry(500, np.nan), id="nan-later-level"),
-        pytest.param(with_diagonal_entry(0, np.nan), id="nan-thomas-tail"),
+        pytest.param(with_rowsum_entry(501, -2.0), id="zero-odd-pivot"),
+        pytest.param(with_rowsum_entry(501, np.nan), id="nan-first-level"),
+        pytest.param(with_rowsum_entry(500, np.nan), id="nan-later-level"),
+        pytest.param(with_rowsum_entry(0, np.nan), id="nan-thomas-tail"),
     ],
 )
 def test_rejects_non_spd_inside_reduction(system):
@@ -113,14 +130,18 @@ def test_rejects_non_spd_inside_reduction(system):
 
 def test_first_level_pivot_names_its_row():
     with pytest.raises(np.linalg.LinAlgError, match="at row 501"):
-        kernels.solve_spd_tridiagonal(*with_diagonal_entry(501, 0.0))
+        kernels.solve_spd_tridiagonal(*with_rowsum_entry(501, -2.0))
 
 
 def test_solver_maps_reduction_failure_to_solver_error(base_problem, monkeypatch):
+    # A negative convection makes every row sum negative: the matrix is
+    # indefinite (the constant vector has negative energy).
+    def negative_convection(problem, profile):
+        convection, off, rhs = assemble_fin_system(problem, profile)
+        return -convection, off, rhs
+
     profile = rectangular_profile(base_problem, 1000)
-    monkeypatch.setattr(
-        finopt.solver, "assemble_fin_system", lambda problem, profile: indefinite_system()
-    )
+    monkeypatch.setattr(finopt.solver, "assemble_fin_system", negative_convection)
     with pytest.raises(SolverError, match="direct solve failed"):
         solve_temperature(base_problem, profile)
 
@@ -135,9 +156,9 @@ def test_reports_one_backend():
 
 def test_equals_thomas_bitwise_up_to_cutoff():
     for n in range(1, kernels.THOMAS_ROWS + 1):
-        diag, off, rhs = random_spd_system(n, seed=n)
-        x = kernels.solve_spd_tridiagonal(diag, off, rhs)
-        assert np.array_equal(x, solve_thomas(diag, off, rhs)), n
+        rowsum, off, rhs = random_spd_system(n, seed=n)
+        x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+        assert np.array_equal(x, solve_thomas(diagonal(rowsum, off), off, rhs)), n
 
 
 ORACLE_SIZES = sorted(
@@ -147,24 +168,33 @@ ORACLE_SIZES = sorted(
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_agrees_with_thomas(n):
-    diag, off, rhs = random_spd_system(n, seed=1000 + n)
-    x = kernels.solve_spd_tridiagonal(diag, off, rhs)
-    ref = solve_thomas(diag, off, rhs)
+    rowsum, off, rhs = random_spd_system(n, seed=1000 + n)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+    ref = solve_thomas(diagonal(rowsum, off), off, rhs)
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def thomas_longdouble(diag, off, rhs):
-    """The Thomas loop in extended precision: the reference for fin systems."""
-    d = diag.astype(np.longdouble)
-    e = off.astype(np.longdouble)
+def thomas_longdouble(rowsum, off, rhs):
+    """The Thomas loop on row sums in extended precision: the unrounded model.
+
+    sigma_i = s_i - (e_{i-1} / p_{i-1}) sigma_{i-1} is what row i sums to
+    after elimination and p_i = sigma_i - e_i its pivot.  With s > 0 and
+    e < 0 both add positive terms, so no conductance cancels the convection.
+    """
+    s = np.asarray(rowsum, dtype=np.longdouble)
+    e = np.append(np.asarray(off, dtype=np.longdouble), 0)
     x = rhs.astype(np.longdouble)
-    for i in range(1, d.shape[0]):
-        w = e[i - 1] / d[i - 1]
-        d[i] -= w * e[i - 1]
+    p = np.empty_like(s)
+    sigma = s[0]
+    p[0] = sigma - e[0]
+    for i in range(1, s.shape[0]):
+        w = e[i - 1] / p[i - 1]
+        sigma = s[i] - w * sigma
+        p[i] = sigma - e[i]
         x[i] -= w * x[i - 1]
-    x[-1] /= d[-1]
-    for i in range(d.shape[0] - 2, -1, -1):
-        x[i] = (x[i] - e[i] * x[i + 1]) / d[i]
+    x[-1] /= p[-1]
+    for i in range(s.shape[0] - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / p[i]
     return x
 
 
@@ -174,16 +204,16 @@ FIN_PROBLEMS = {
 }
 
 #: Root error both kernels must meet against the extended-precision solve
-#: of the same float64 matrix.  The fin matrices are close to singular
+#: of the matrix they are given.  The fin matrices are close to singular
 #: (conductances exceed the convection by up to ~1e10 at 1e5 cells); the
 #: Thomas loop's root error reaches ~6e-10 there.
 ROOT_RTOL = 1e-9
 
-#: The reduction's own bound: it eliminates on row sums, so it does not
-#: lose the convection to cancellation.  It sits above the reference's own
-#: error (up to 4e-13 at 1e5 cells); a reduction on the diagonal reaches
-#: 5e-9.
-REDUCTION_ROOT_RTOL = 1e-12
+#: The reduction's bound against the unrounded model: it takes the row
+#: sums and eliminates on them, so it never loses the convection to
+#: cancellation (measured up to 4.2e-14; on the float64 diagonal it was
+#: off by up to 1.7e-7 at 1e5 cells).
+REDUCTION_ROOT_RTOL = 1e-13
 
 _long_fins = {}
 
@@ -225,10 +255,18 @@ def test_fin_root_error_against_long_double(name, kind, n):
     else:
         profile = long_fin_profile(name, n)
         assert np.any(profile.values <= thickness_floor(problem, profile.mesh.length))
-    diag, off, rhs = assemble_fin_system(problem, profile)
-    root = float(thomas_longdouble(diag, off, rhs)[0])
-    reduction = kernels.solve_spd_tridiagonal(diag, off, rhs)[0]
-    loop = solve_thomas(diag, off, rhs)[0]
-    assert abs(loop - root) <= ROOT_RTOL * root
+    rowsum, off, rhs = assemble_fin_system(problem, profile)
+    root = float(thomas_longdouble(rowsum, off, rhs)[0])
+    reduction = kernels.solve_spd_tridiagonal(rowsum, off, rhs)[0]
     assert abs(reduction - root) <= ROOT_RTOL * root
     assert abs(reduction - root) <= REDUCTION_ROOT_RTOL * root
+    # The loop takes a float64 diagonal, which rounds the convection next
+    # to the conductances: it is held to the exact solve of that diagonal,
+    # not to the model (against the model it is off by up to 2.2e-8).
+    diag = diagonal(rowsum, off)
+    diag_rowsum = diag.astype(np.longdouble)
+    diag_rowsum[1:] += off
+    diag_rowsum[:-1] += off
+    loop_root = float(thomas_longdouble(diag_rowsum, off, rhs)[0])
+    loop = solve_thomas(diag, off, rhs)[0]
+    assert abs(loop - loop_root) <= ROOT_RTOL * loop_root

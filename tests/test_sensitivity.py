@@ -123,6 +123,24 @@ class TestFiniteDifferenceAgreement:
             worst = max(worst, abs(fd - grad.values[f]) / abs(grad.values[f]))
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            pytest.param(FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0), id="k200-h20"),
+            pytest.param(FinProblem(k=3.7, h=812.0, area=2.3e-6, q0=0.31), id="k3.7-h812"),
+        ],
+    )
+    def test_root_faces_on_a_fine_mesh(self, problem):
+        # At 16000 cells the conductances exceed the convection by ~1e8; a
+        # diagonal that rounds the convection puts the central difference
+        # off by 3e-5 here, against a truncation error of about 1e-6.
+        profile = optimal_profile(problem, 16000)
+        grad = gradient_of(problem, profile)
+        for f in (0, 1):
+            step = 1e-3 * profile.values[f]
+            fd = finite_difference_gradient(problem, profile, f, step)
+            assert abs(fd - grad.values[f]) <= 1e-5 * abs(grad.values[f])
+
     def test_rectangular_profile_interior_faces(self, base_problem):
         # the uniform fin's gradient nearly vanishes toward the tip, so the
         # central difference is round-off limited there; bound accordingly

@@ -36,16 +36,15 @@ from conftest import (
 class TestAssembly:
     def test_matrix_is_spd_tridiagonal(self, base_problem):
         profile = rectangular_profile(base_problem, 50)
-        diag, off, rhs = assemble_fin_system(base_problem, profile)
-        assert diag.shape == (51,)
+        rowsum, off, rhs = assemble_fin_system(base_problem, profile)
+        assert rowsum.shape == (51,)
         assert off.shape == (50,)
-        assert np.all(diag > 0.0)
         assert np.all(off < 0.0)
-        # strict diagonal dominance: convection adds to every row
-        row_sum = np.zeros_like(diag)
-        row_sum[:-1] += np.abs(off)
-        row_sum[1:] += np.abs(off)
-        assert np.all(diag > row_sum)
+        # the row sums are the convection, with no conductance rounded in;
+        # positive row sums make the matrix strictly diagonally dominant
+        mesh = profile.mesh
+        assert np.array_equal(rowsum, 2.0 * base_problem.h * mesh.node_weights)
+        assert np.all(rowsum > 0.0)
 
     def test_rhs_is_root_load_only(self, base_problem):
         profile = rectangular_profile(base_problem, 20)
