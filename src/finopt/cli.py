@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -299,7 +300,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if _report_checks(checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``finopt`` parser, built once per process.
+
+    Parsing leaves the parser unchanged and returns a fresh Namespace, so
+    every ``main`` call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="finopt",
         description="Optimal cooling-fin design: closed forms, finite-volume "

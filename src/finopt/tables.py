@@ -1,16 +1,24 @@
 """Reading and writing of the on-disk table formats.
 
-All floats are written with 17 significant digits, so parse -> format is
-the identity on the file bytes and nothing is lost round-tripping.  Data
-tables never carry timestamps or other run metadata; identical inputs must
+Both formats are lossless.  CSV tables write every float with 17
+significant digits ("%.17g"), so parse -> format is the identity on the
+file bytes.  JSON files hold the shortest repr that round-trips (``0.1``,
+not ``0.10000000000000001``), as ``json.dumps`` writes it.  Data tables
+never carry timestamps or other run metadata; identical inputs must
 produce identical files.
+
+The CSV writer formats whole chunks of rows with one ``%`` operation and
+streams them through one open file, so memory stays bounded on long
+tables.  The reader makes one pass that splits each line and parses its x
+and t, then checks finiteness, sign and ordering on the whole arrays.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,20 +29,28 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+# Rows formatted per write: large enough to amortise the call, small
+# enough that the chunk's string and value tuple stay well under a MiB.
+CHUNK_ROWS = 2048
+
+
+def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
+    table = np.asarray(np.column_stack(columns), dtype=float)
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(table), CHUNK_ROWS):
+            chunk = table[start:start + CHUNK_ROWS]
+            out.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_profile_csv(path: Path, x: np.ndarray, t: np.ndarray) -> None:
     """Profile table: x, full thickness, and the half-profile t/2."""
-    _write_rows(path, ("x", "t", "t_half"), zip(x, t, 0.5 * np.asarray(t)))
+    _write_columns(path, ("x", "t", "t_half"), x, t, 0.5 * np.asarray(t))
 
 
 def write_temperature_csv(path: Path, x: np.ndarray, theta: np.ndarray) -> None:
-    _write_rows(path, ("x", "theta"), zip(x, theta))
+    _write_columns(path, ("x", "theta"), x, theta)
 
 
 def write_table_json(path: Path, columns: Sequence[str], rows) -> None:
@@ -52,8 +68,8 @@ def write_json(path: Path, payload: dict) -> None:
 def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a profile table with at least the columns x and t.
 
-    Extra columns (like t_half) are ignored.  Errors name the offending
-    line, counting from 1 at the header.
+    Extra columns (like t_half) are ignored.  Errors name the earliest
+    offending line, counting from 1 at the header.
     """
     try:
         text = Path(path).read_text()
@@ -71,32 +87,60 @@ def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     ix = header.index("x")
     it = header.index("t")
 
+    fields = len(header)
     xs: list[float] = []
     ts: list[float] = []
+    fault = None  # (line, message, cause) of the first row that does not parse
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split(",")
-        if len(parts) != len(header):
-            raise ProfileFormatError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(parts)}"
-            )
+        if len(parts) != fields:
+            if not line.strip():
+                continue
+            fault = (lineno, f"expected {fields} fields, got {len(parts)}", None)
+            break
         try:
             x = float(parts[ix])
             t = float(parts[it])
         except ValueError as exc:
-            raise ProfileFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if not (np.isfinite(x) and np.isfinite(t)):
-            raise ProfileFormatError(f"{path}: line {lineno}: non-finite value")
-        if t < 0.0:
-            raise ProfileFormatError(f"{path}: line {lineno}: negative thickness {t}")
-        if xs and x <= xs[-1]:
-            raise ProfileFormatError(
-                f"{path}: line {lineno}: x must be strictly increasing"
-            )
+            fault = (lineno, str(exc), exc)
+            break
         xs.append(x)
         ts.append(t)
 
-    if len(xs) < 2:
-        raise ProfileFormatError(f"{path}: need at least two data rows, got {len(xs)}")
-    return np.asarray(xs), np.asarray(ts)
+    x, t = np.asarray(xs), np.asarray(ts)
+    # A bad value on a row before the unparsable one is the earlier fault.
+    bad = _first_bad_row(x, t)
+    if bad is not None:
+        row, message = bad
+        raise ProfileFormatError(f"{path}: line {_line_of_row(lines, row)}: {message}")
+    if fault is not None:
+        lineno, message, cause = fault
+        raise ProfileFormatError(f"{path}: line {lineno}: {message}") from cause
+    if len(x) < 2:
+        raise ProfileFormatError(f"{path}: need at least two data rows, got {len(x)}")
+    return x, t
+
+
+def _first_bad_row(x: np.ndarray, t: np.ndarray) -> tuple[int, str] | None:
+    """First row with a non-finite value, a negative t or a non-increasing x.
+
+    A row with several faults reports them in that order.
+    """
+    finite = np.isfinite(x) & np.isfinite(t)
+    bad = ~finite | (t < 0.0)
+    bad[1:] |= x[1:] <= x[:-1]
+    rows = np.flatnonzero(bad)
+    if rows.size == 0:
+        return None
+    row = int(rows[0])
+    if not finite[row]:
+        return row, "non-finite value"
+    if t[row] < 0.0:
+        return row, f"negative thickness {float(t[row])}"
+    return row, "x must be strictly increasing"
+
+
+def _line_of_row(lines: list[str], row: int) -> int:
+    """Line number, counting from 1 at the header, of data row `row`."""
+    data_lines = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+    return next(islice(data_lines, row, None))

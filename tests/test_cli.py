@@ -8,7 +8,7 @@ import pytest
 import finopt
 import finopt.kernels
 import finopt.optimizer
-from finopt.cli import main
+from finopt.cli import build_parser, main
 from finopt.tables import read_profile_csv
 from conftest import ORACLE_H20
 
@@ -70,6 +70,21 @@ class TestAnalytic:
         table = json.loads((tmp_path / "profile.json").read_text())
         assert table["columns"] == ["x", "t", "t_half"]
         assert len(table["rows"]) == 201
+
+
+class TestSharedParser:
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        # every main() call parses with the same parser object
+        assert build_parser() is build_parser()
+        assert main(["sweep", *BASE, "--h-values", "50", "--samples", "5",
+                     "--format", "json", "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["sweep", *BASE, "--out-dir", str(tmp_path / "b")]) == 0
+        for h in (20, 50, 100, 200):
+            lines = (tmp_path / "b" / f"profile_h{h}.csv").read_text().splitlines()
+            assert len(lines) == 202
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "profile_h50.json", "summary.csv", "temperature_h50.json",
+        ]
 
 
 class TestSweep:

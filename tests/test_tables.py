@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finopt.errors import ProfileFormatError
 from finopt.tables import (
+    CHUNK_ROWS,
     format_float,
     read_profile_csv,
     write_profile_csv,
@@ -14,6 +15,17 @@ from finopt.tables import (
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+# Signed zeros, the smallest subnormal and normal, and extremes of exponent.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-300, -1e-300, 1e300, -1e300, 0.1, 1.0)
+
+
+def per_value_table(header, *columns):
+    """The CSV bytes written one value at a time: the writers' oracle."""
+    rows = zip(*columns)
+    lines = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestFormatFloat:
@@ -25,6 +37,28 @@ class TestFormatFloat:
     def test_exact_examples(self):
         assert format_float(0.1) == "0.10000000000000001"
         assert format_float(1.0) == "1"
+
+
+class TestChunkedWriters:
+    @given(
+        rows=st.sampled_from([1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
+        drawn=st.lists(finite_floats, min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, rows, drawn, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array(EDGE_FLOATS + tuple(drawn))
+        x, t, theta = (rng.choice(pool, rows) for _ in range(3))
+
+        path = tmp_path / "profile.csv"
+        write_profile_csv(path, x, t)
+        assert path.read_bytes() == per_value_table(("x", "t", "t_half"), x, t, 0.5 * t)
+
+        path = tmp_path / "temperature.csv"
+        write_temperature_csv(path, x, theta)
+        assert path.read_bytes() == per_value_table(("x", "theta"), x, theta)
 
 
 class TestProfileRoundTrip:
@@ -46,6 +80,19 @@ class TestProfileRoundTrip:
         second = tmp_path / "b.csv"
         write_profile_csv(first, x, t)
         x2, t2 = read_profile_csv(first)
+        write_profile_csv(second, x2, t2)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_many_chunks_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(8)
+        x = np.cumsum(rng.random(16001))
+        t = rng.random(16001) * 1e-3
+        first = tmp_path / "a.csv"
+        second = tmp_path / "b.csv"
+        write_profile_csv(first, x, t)
+        x2, t2 = read_profile_csv(first)
+        assert x2.tobytes() == x.tobytes()
+        assert t2.tobytes() == t.tobytes()
         write_profile_csv(second, x2, t2)
         assert first.read_bytes() == second.read_bytes()
 
@@ -121,3 +168,44 @@ class TestParserDiagnostics:
         path.write_text("x,t\n0.0,1.0\n\n1.0,2.0\n")
         x, t = read_profile_csv(path)
         assert len(x) == 2
+
+    # Two faults in one file: the earliest line is named.  Within one line
+    # the checks run field count -> parse -> finite -> negative -> increasing.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,t\n0.0,1.0\n0.5,-1.0\n0.75,1.0\n0.9\n", "line 3: negative thickness -1.0"),
+            ("x,t\n0.0,1.0\n0.5\n0.75,1.0\n0.25,1.0\n", "line 3: expected 2 fields, got 1"),
+            ("x,t\n0.0,1.0\n0.0,1.0\n0.5\n", "line 3: x must be strictly increasing"),
+            ("x,t\n0.0,1.0\n0.5,nan\n0.25,-1.0\n", "line 3: non-finite value"),
+            ("x,t\n0.0,1.0\n0.5,-inf\n", "line 3: non-finite value"),
+            ("x,t\n0.0,1.0\nnan,1.0\n", "line 3: non-finite value"),
+            ("x,t\n0.0,1.0\ninf,1.0\nnope,1.0\n", "line 3: non-finite value"),
+            ("x,t\n0.0,1.0\n-0.5,-1.0\n", "line 3: negative thickness -1.0"),
+            ("x,t\n0.0,1.0\nnope,-1.0\n",
+             "line 3: could not convert string to float: 'nope'"),
+            ("x,t\n0.0,1.0\nnope\n", "line 3: expected 2 fields, got 1"),
+            ("x,t\n0.0,1.0\n\n0.5,-1.0\n0.9\n", "line 4: negative thickness -1.0"),
+            ("x,t\n0.0,1.0\n  \n\n0.5\n", "line 5: expected 2 fields, got 1"),
+        ],
+        ids=[
+            "negative-before-short-row",
+            "short-row-before-decreasing",
+            "decreasing-before-short-row",
+            "nan-before-negative",
+            "negative-inf",
+            "nan-x",
+            "inf-before-unparsable",
+            "negative-before-decreasing",
+            "parse-before-negative",
+            "count-before-parse",
+            "blank-line-counted",
+            "blank-lines-counted-before-short-row",
+        ],
+    )
+    def test_earliest_fault_is_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: {message}"
