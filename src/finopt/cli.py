@@ -113,10 +113,9 @@ def _write_tables(args, stem_profile, stem_temperature, xs, t, theta) -> None:
         write_profile_csv(out / f"{stem_profile}.csv", xs, t)
         write_temperature_csv(out / f"{stem_temperature}.csv", xs, theta)
     else:
-        write_table_json(out / f"{stem_profile}.json",
-                         ("x", "t", "t_half"), zip(xs, t, 0.5 * t))
-        write_table_json(out / f"{stem_temperature}.json",
-                         ("x", "theta"), zip(xs, theta))
+        write_table_json(out / f"{stem_profile}.json", ("x", "t", "t_half"),
+                         xs, t, 0.5 * t)
+        write_table_json(out / f"{stem_temperature}.json", ("x", "theta"), xs, theta)
 
 
 def _analytic_summary(problem: FinProblem) -> dict:

@@ -5,11 +5,13 @@ conditions.  Stationarity of the Lagrangian makes the gradient density
 k (dtheta/dx)^2 equal to the area multiplier lambda on every face above the
 thickness floor, so the temperature falls linearly over the support, and a
 flux balance then gives each active face's thickness in closed form.  The
-only unknown is the number of active faces, the largest that keeps every
-active face above the floor: one O(n) pass, no iteration.  A solve of the
-result measures the certificate (density spread on the support, largest
-floored density over lambda, area error); a failed certificate raises
-OptimizationError.
+flux the floored tail draws follows a linear-fractional recursion from the
+tip, which is also solved in closed form.  The only unknown is the number
+of active faces, the largest that keeps every active face above the floor:
+one O(n) pass of whole-array operations, with no iteration and no Python
+loop over cells.  A solve of the result measures the certificate (density
+spread on the support, largest floored density over lambda, area error); a
+failed certificate raises OptimizationError.
 
 The optimality-criteria (OC) iteration that reaches the same profile,
 rescaling every face by (density / lambda)^eta, is kept as the private
@@ -18,9 +20,9 @@ test oracle _optimize_profile_oc; the package does not call it.
 Optimal length: the support of the optimized profile.  The optimality
 conditions make dt/dx linear with t = dt/dx = 0 at the tip, so sqrt(t) is
 linear in x and its root is the optimal length.  One long fin is optimized,
-the root of a straight-line fit to sqrt(t) is taken as the length, and the
-fin is optimized again at that length.  The closed-form optimal length
-only sizes the long fin.
+the root of a closed-form least-squares line through sqrt(t) is taken as
+the length, and the fin is optimized again at that length.  The
+closed-form optimal length only sizes the long fin.
 """
 
 from __future__ import annotations
@@ -168,6 +170,33 @@ def _face_integral(values: np.ndarray, dx: float) -> float:
     return float(np.sum(values)) * dx
 
 
+def _tail_flux(conductance: float, convection: np.ndarray) -> np.ndarray:
+    """phi[j]: flux into the floored faces j.. per unit theta_j, from the tip.
+
+    The tip node sheds c/2, so phi[n-1] = K (c/2) / (K + c/2); every step
+    past it is the map phi -> K (c + phi) / (K + c + phi), whose fixed
+    points are phi+ > 0 > phi-.  z = (phi - phi+) / (phi - phi-) shrinks by
+    rho = f'(phi+) = (K / (K + c + phi+))^2 per step toward the root, which
+    gives phi in closed form.  Beyond ceil(40 / |ln rho|) steps z is below
+    e^-40 of its start and phi is phi+ to rounding, so the power is capped
+    there, clear of subnormals.
+    """
+    n = convection.size - 1
+    c = convection[1]
+    spread = math.sqrt(c * c + 4.0 * conductance * c)
+    phi_plus = 2.0 * conductance * c / (c + spread)
+    phi_minus = -0.5 * (c + spread)
+    rho = (conductance / (conductance + c + phi_plus)) ** 2
+    tip = conductance * convection[n] / (conductance + convection[n])
+    steps = min(n - 1, math.ceil(40.0 / -math.log(rho)))
+    z = (tip - phi_plus) / (tip - phi_minus) * rho ** np.arange(steps + 1)
+    head = (phi_plus - z * phi_minus) / (1.0 - z)
+    phi = np.zeros(n + 1)
+    phi[n - 1 - steps : n] = head[::-1]
+    phi[: n - 1 - steps] = head[-1]
+    return phi
+
+
 def _solve_optimality_conditions(
     problem: FinProblem, length: float, n_cells: int
 ) -> tuple[np.ndarray, float, int]:
@@ -187,29 +216,27 @@ def _solve_optimality_conditions(
     k = problem.k
     floor = thickness_floor(problem, length)
     convection = 2.0 * problem.h * mesh.node_weights
-
-    # phi[j]: flux into the floored faces j.. per unit theta_j, from the tip
-    # back.  Every interior step is the same map, so once phi repeats it has
-    # reached the map's fixed point and stays there.
-    conductance = k * floor / dx
-    phi = np.zeros(n + 1)
-    for j in range(n - 1, -1, -1):
-        a = convection[j + 1] + phi[j + 1]
-        phi[j] = conductance * a / (conductance + a)
-        if phi[j] == phi[j + 1]:
-            phi[:j] = phi[j]
-            break
+    phi = _tail_flux(k * floor / dx, convection)
 
     # For every support m = 1..n: each k t_i is linear in r, and their sum,
     # by prefix sums in m, meets the area left to the active faces at one
     # r; then t_{m-1} = (2 h w_m + phi_m)(r - x_m) / k is the thinnest face.
-    m = np.arange(1, n + 1)
+    # The n-long arrays are updated in place: each fresh one costs a page-in.
+    m = np.arange(1.0, n + 1.0)
     c, ph, xs = convection[1:], phi[1:], x[1:]
-    active_area = problem.area / dx - (n - m) * floor
-    roots = (k * active_area + np.cumsum(m * c * xs) + m * ph * xs) / (
-        np.cumsum(m * c) + m * ph
-    )
-    feasible = np.flatnonzero((c + ph) * (roots - xs) > k * floor)
+    weight = m * c
+    denominator = np.cumsum(weight)
+    weight *= xs
+    tail = m * ph
+    denominator += tail
+    tail *= xs
+    roots = k * (problem.area / dx - (n - m) * floor)
+    roots += np.cumsum(weight, out=weight)
+    roots += tail
+    roots /= denominator
+    thinnest = roots - xs
+    thinnest *= c + ph
+    feasible = np.flatnonzero(thinnest > k * floor)
     if feasible.size == 0:
         raise OptimizationError(
             "the area budget does not lift even the root face above the "
@@ -219,10 +246,13 @@ def _solve_optimality_conditions(
     r = float(roots[support - 1])
 
     # A reversed cumulative sum of positive terms: nothing cancels near the tip.
-    shed = convection[1 : support + 1] * (r - x[1 : support + 1])
+    shed = r - x[1 : support + 1]
+    shed *= convection[1 : support + 1]
     values = np.full(n, floor)
-    tail = phi[support] * (r - x[support])
-    values[:support] = (np.cumsum(shed[::-1])[::-1] + tail) / k
+    active = np.cumsum(shed[::-1])[::-1]
+    active += phi[support] * (r - x[support])
+    active /= k
+    values[:support] = active
     slope = 1.0 / (convection[0] * r + k * values[0])
     return values, slope, support
 
@@ -453,6 +483,14 @@ def _optimize_profile_oc(
     return profile, load_scale * lam, tuple(history)
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of y against x, from centered sums."""
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    offsets = x - x_mean
+    slope = float(np.dot(offsets, y - y_mean) / np.dot(offsets, offsets))
+    return slope, y_mean - slope * x_mean
+
+
 def _support_length(profile: ThicknessProfile, floor: float) -> float:
     """Root of a straight line fitted to sqrt(t) before the first floored face."""
     faces = profile.mesh.faces
@@ -470,7 +508,7 @@ def _support_length(profile: ThicknessProfile, floor: float) -> float:
             f"only {np.count_nonzero(window)} face(s) inside the support fit "
             f"window; the mesh is too coarse to locate the support"
         )
-    slope, intercept = np.polyfit(faces[window], np.sqrt(profile.values[window]), 1)
+    slope, intercept = _fit_line(faces[window], np.sqrt(profile.values[window]))
     if not slope < 0.0:
         raise OptimizationError(
             f"sqrt(t) does not fall toward the tip (fitted slope {slope:g})"
@@ -543,9 +581,8 @@ def evaluate_profile_optimality(
     window = positions <= (1.0 - TIP_EXCLUSION) * mesh.length
     xs = positions[window] - mesh.length
     ys = dtdx[window]
-    design = np.column_stack([xs, np.ones_like(xs)])
-    coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    fitted = design @ coeffs
+    slope, intercept = _fit_line(xs, ys)
+    fitted = slope * xs + intercept
     scale = np.linalg.norm((2.0 * problem.h / problem.k) * xs)
     residual = float(np.linalg.norm(ys - fitted)) / max(float(scale), tiny)
 
@@ -555,7 +592,7 @@ def evaluate_profile_optimality(
         tip_temp_ratio=abs(theta.tip_value) / root,
         selfadjoint_gap=selfadjoint_gap,
         grad_temp_mean=mean_slope,
-        thickness_slope=float(coeffs[0]),
+        thickness_slope=slope,
     )
 
 

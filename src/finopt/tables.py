@@ -3,14 +3,15 @@
 Both formats are lossless.  CSV tables write every float with 17
 significant digits ("%.17g"), so parse -> format is the identity on the
 file bytes.  JSON files hold the shortest repr that round-trips (``0.1``,
-not ``0.10000000000000001``), as ``json.dumps`` writes it.  Data tables
-never carry timestamps or other run metadata; identical inputs must
-produce identical files.
+not ``0.10000000000000001``), byte for byte as ``json.dumps(indent=2)``
+writes it.  Data tables never carry timestamps or other run metadata;
+identical inputs must produce identical files.
 
-The CSV writer formats whole chunks of rows with one ``%`` operation and
-streams them through one open file, so memory stays bounded on long
-tables.  The reader makes one pass that splits each line and parses its x
-and t, then checks finiteness, sign and ordering on the whole arrays.
+The CSV and JSON table writers format whole chunks of rows with one ``%``
+operation and stream them through one open file, so memory stays bounded
+on long tables.  The reader makes one pass that splits each line and
+parses its x and t, then checks finiteness, sign and ordering on the
+whole arrays.
 """
 
 from __future__ import annotations
@@ -53,12 +54,26 @@ def write_temperature_csv(path: Path, x: np.ndarray, theta: np.ndarray) -> None:
     _write_columns(path, ("x", "theta"), x, theta)
 
 
-def write_table_json(path: Path, columns: Sequence[str], rows) -> None:
-    payload = {
-        "columns": list(columns),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def write_table_json(path: Path, header: Sequence[str], *columns) -> None:
+    """{"columns": header, "rows": [...]}: for one row or more, the bytes of
+    json.dumps(indent=2).
+
+    Rows are formatted a chunk at a time with one ``%r`` operation, the
+    float repr json writes, so the pure-Python encoder that ``indent``
+    selects never sees them; only NaN and infinities need json's spelling.
+    """
+    table = np.asarray(np.column_stack(columns), dtype=float)
+    names = ",\n".join("    " + json.dumps(name) for name in header)
+    row = "    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
+    with open(path, "w") as out:
+        out.write(f'{{\n  "columns": [\n{names}\n  ],\n  "rows": [\n')
+        for start in range(0, len(table), CHUNK_ROWS):
+            chunk = table[start:start + CHUNK_ROWS]
+            text = ",\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+            if not np.isfinite(chunk).all():
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            out.write(text if start == 0 else ",\n" + text)
+        out.write("\n  ]\n}\n")
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -27,11 +27,16 @@ from finopt import (
 from finopt import kernels
 from finopt.mesh import Mesh, ThicknessProfile
 from finopt.optimizer import (
+    SUPPORT_FIT_WINDOW,
     _face_integral,
+    _fit_line,
     _long_fin_length,
     _oc_step,
     _optimize_profile_oc,
+    _support_length,
+    _tail_flux,
 )
+from finopt.sensitivity import TIP_EXCLUSION
 from finopt.solver import assemble_fin_system, thickness_floor
 from conftest import ORACLE_H20, optimal_profile, rectangular_profile
 
@@ -357,6 +362,21 @@ class TestLengthSearch:
         report = optimize_length(hot, OptimizerOptions())
         assert report.length == pytest.approx(optimal_length(hot), rel=1e-2)
 
+    def test_fit_needs_a_floored_face(self, problem):
+        profile = rectangular_profile(problem, 200)
+        floor = thickness_floor(problem, profile.mesh.length)
+        with pytest.raises(OptimizationError, match="no face at the thickness floor"):
+            _support_length(profile, floor)
+
+    def test_fit_needs_a_falling_profile(self, problem):
+        # sqrt(t) rising toward a floored tip face has a positive fitted slope.
+        mesh = Mesh(40, optimal_length(problem))
+        floor = thickness_floor(problem, mesh.length)
+        values = np.linspace(1e-3, 2e-3, 40)
+        values[-1] = floor
+        with pytest.raises(OptimizationError, match="does not fall"):
+            _support_length(ThicknessProfile(mesh, values), floor)
+
     def test_too_coarse_mesh_raises(self, problem):
         # Four cells on the long fin leave one face inside the support fit
         # window, too few to fit a line: the length search must fail loudly.
@@ -406,7 +426,40 @@ def _assert_matches_oracle(problem, length, n_cells):
     return report, history
 
 
+def _tail_flux_recursion(conductance, convection):
+    """phi by the tip-to-root loop, stopping once it repeats: the oracle."""
+    n = convection.size - 1
+    phi = np.zeros(n + 1)
+    for j in range(n - 1, -1, -1):
+        a = convection[j + 1] + phi[j + 1]
+        phi[j] = conductance * a / (conductance + a)
+        if phi[j] == phi[j + 1]:
+            phi[:j] = phi[j]
+            break
+    return phi
+
+
+TAIL_LENGTHS = {
+    "0.3L*": lambda p, n: 0.3 * optimal_length(p),
+    "L*": lambda p, n: optimal_length(p),
+    "long": _long_fin_length,
+}
+
+
 class TestDirectSolve:
+    @pytest.mark.parametrize("length", list(TAIL_LENGTHS))
+    @pytest.mark.parametrize("n_cells", [4, 8, 200, 4000, 100_000])
+    @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+    def test_tail_flux_matches_recursion(self, name, n_cells, length):
+        problem = ORACLE_PROBLEMS[name]
+        mesh = Mesh(n_cells, TAIL_LENGTHS[length](problem, n_cells))
+        conductance = problem.k * thickness_floor(problem, mesh.length) / mesh.dx
+        convection = 2.0 * problem.h * mesh.node_weights
+        closed = _tail_flux(conductance, convection)
+        looped = _tail_flux_recursion(conductance, convection)
+        assert closed[-1] == looped[-1] == 0.0
+        assert np.max(np.abs(closed[:-1] / looped[:-1] - 1.0)) <= 1e-13
+
     @pytest.mark.parametrize("length", list(LENGTHS))
     @pytest.mark.parametrize("n_cells", [32, 200, 1000, 4000])
     @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
@@ -471,6 +524,54 @@ class TestDirectSolve:
         check = verify_optimality(report, problem)
         assert check.selfadjoint_gap <= 1e-10
         assert check.grad_temp_cv <= 1e-9
+
+
+def _fit_windows(problem, n_cells):
+    """The (x, y) pairs the two line fits see, on optimized profiles.
+
+    evaluate_profile_optimality fits dt/dx against x - L on interior nodes
+    outside the tip zone; _support_length fits sqrt(t) on faces inside
+    SUPPORT_FIT_WINDOW of the long fin's first floored face.
+    """
+    report = optimize_profile(problem, optimal_length(problem), OptimizerOptions(n_cells))
+    mesh = report.profile.mesh
+    positions = mesh.nodes[1:-1]
+    window = positions <= (1.0 - TIP_EXCLUSION) * mesh.length
+    dtdx = np.diff(report.profile.values) / mesh.dx
+    windows = {"optimality": (positions[window] - mesh.length, dtdx[window])}
+
+    long_fin = optimize_profile(
+        problem, _long_fin_length(problem, n_cells), OptimizerOptions(n_cells)
+    )
+    faces, values = long_fin.profile.mesh.faces, long_fin.profile.values
+    floor = thickness_floor(problem, long_fin.length)
+    edge = faces[np.flatnonzero(values <= floor)[0]]
+    lo, hi = SUPPORT_FIT_WINDOW
+    window = (faces >= lo * edge) & (faces <= hi * edge)
+    windows["support"] = (faces[window], np.sqrt(values[window]))
+    return windows
+
+
+class TestLineFit:
+    # At 10 cells the support window holds two faces for all three problems.
+    # The window's two end points are the other two-point fit: a pair of
+    # neighbours on a fine mesh would measure the conditioning of the fit,
+    # not the formula.
+    @pytest.mark.parametrize("cut", ["whole", "ends"])
+    @pytest.mark.parametrize("kind", ["optimality", "support"])
+    @pytest.mark.parametrize("n_cells", [10, 32, 1000, 100_000])
+    @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+    def test_matches_polyfit(self, name, n_cells, kind, cut):
+        x, y = _fit_windows(ORACLE_PROBLEMS[name], n_cells)[kind]
+        if cut == "ends":
+            x, y = x[[0, -1]], y[[0, -1]]
+        slope, intercept = _fit_line(x, y)
+        expected_slope, expected_intercept = np.polyfit(x, y, 1)
+        assert abs(slope / expected_slope - 1.0) <= 1e-12
+        # dt/dx against x - L has an intercept near zero, so the lines are
+        # compared where they are fitted, relative to the data.
+        gap = (slope - expected_slope) * x + (intercept - expected_intercept)
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(y))
 
 
 class TestOcOracle:

@@ -1,6 +1,7 @@
 """Discrete fin solves against closed-form oracles and conservation laws."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -170,6 +171,36 @@ class TestComplianceEvaluations:
             recovered = variational_compliance(base_problem, profile, theta)
             assert recovered == pytest.approx(direct, rel=1e-10)
 
+    @given(
+        n_cells=st.integers(4, 20000),
+        log_spread=st.floats(0.0, 6.0),
+        factor=st.floats(0.3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pairwise_sum_meets_exact_sum(self, n_cells, log_spread, factor, seed):
+        # Random admissible profiles: thickness log-uniform over up to six
+        # decades below A/L, never under the floor.
+        problem = FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0)
+        length = factor * optimal_length(problem)
+        rng = np.random.default_rng(seed)
+        values = (problem.area / length) * 10.0 ** rng.uniform(-log_spread, 0.0, n_cells)
+        values = np.maximum(values, thickness_floor(problem, length))
+        profile = ThicknessProfile(Mesh(n_cells, length), values)
+        theta = solve_temperature(problem, profile)
+        exact = _exactly_summed_variational_compliance(problem, profile, theta)
+        bound = math.ceil(math.log2(n_cells)) * np.finfo(np.float64).eps
+        recovered = variational_compliance(problem, profile, theta)
+        assert abs(recovered - exact) <= bound * abs(exact)
+
+    def test_pairwise_sum_on_hundred_thousand_cells(self, base_problem):
+        profile = optimal_profile(base_problem, 100_000)
+        theta = solve_temperature(base_problem, profile)
+        exact = _exactly_summed_variational_compliance(base_problem, profile, theta)
+        bound = math.ceil(math.log2(100_000)) * np.finfo(np.float64).eps
+        recovered = variational_compliance(base_problem, profile, theta)
+        assert abs(recovered - exact) <= bound * abs(exact)
+
     def test_variational_form_checks_meshes(self, base_problem):
         profile = rectangular_profile(base_problem, 100)
         theta = solve_temperature(base_problem, profile)
@@ -244,3 +275,13 @@ class TestRefinementStudyPaths:
             refine_and_estimate_order(
                 base_problem, lambda n: rectangular_profile(base_problem, 100)
             )
+
+
+def _exactly_summed_variational_compliance(problem, profile, theta):
+    """2 b.theta - theta.A.theta with both energy sums exactly rounded: the oracle."""
+    rowsum, off, _ = assemble_fin_system(problem, profile)
+    values = theta.values
+    conduction = -off * np.square(np.diff(values))
+    convection = rowsum * np.square(values)
+    energy = math.fsum(conduction.tolist()) + math.fsum(convection.tolist())
+    return 2.0 * problem.q0 * theta.root_value - energy

@@ -1,5 +1,7 @@
 """Lossless table round-trips and parser diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from finopt.tables import (
     format_float,
     read_profile_csv,
     write_profile_csv,
+    write_table_json,
     write_temperature_csv,
 )
 
@@ -59,6 +62,30 @@ class TestChunkedWriters:
         path = tmp_path / "temperature.csv"
         write_temperature_csv(path, x, theta)
         assert path.read_bytes() == per_value_table(("x", "theta"), x, theta)
+
+
+class TestJsonTableWriter:
+    @given(
+        rows=st.sampled_from([1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
+        drawn=st.lists(st.floats(width=64), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_json_dumps(self, tmp_path, rows, drawn, seed):
+        # json.dumps with indent, one float() per value, is the oracle;
+        # NaN and the infinities must keep json's spelling.
+        rng = np.random.default_rng(seed)
+        pool = np.array(EDGE_FLOATS + (np.nan, np.inf, -np.inf) + tuple(drawn))
+        x, t = (rng.choice(pool, rows) for _ in range(2))
+        columns = ("x", "t", "t_half")
+        path = tmp_path / "profile.json"
+        write_table_json(path, columns, x, t, 0.5 * t)
+        payload = {
+            "columns": list(columns),
+            "rows": [[float(v) for v in row] for row in zip(x, t, 0.5 * t)],
+        }
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 class TestProfileRoundTrip:
