@@ -32,11 +32,9 @@ from .optimizer import (
     feasible_constant_profile,
     optimize_length,
     optimize_profile,
-    verify_optimality,
 )
 from .problem import FinProblem
 from .sensitivity import (
-    AdjointField,
     SensitivityField,
     compliance_gradient,
     finite_difference_gradient,
@@ -56,7 +54,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointField",
     "ConvergenceStudy",
     "DomainError",
     "FinProblem",
@@ -97,5 +94,4 @@ __all__ = [
     "solve_temperature",
     "thickness_floor",
     "variational_compliance",
-    "verify_optimality",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, kernels
 from .analytic import (
     duffin_equivalent_flux,
-    optimal_resistance_breakdown,
     optimal_solution,
     resistance_breakdown,
 )
@@ -64,10 +63,6 @@ def _add_physics_args(parser: argparse.ArgumentParser, with_h: bool = True) -> N
                         help="profile area budget, m^2")
     parser.add_argument("--q0", type=float, required=True,
                         help="root heat input per unit width, W/m")
-    parser.add_argument("--t-inf", type=float, default=0.0,
-                        help="ambient temperature, K (default 0)")
-    parser.add_argument("--width", type=float, default=1.0,
-                        help="fin width, m (default 1)")
 
 
 def _add_table_args(parser: argparse.ArgumentParser) -> None:
@@ -96,31 +91,33 @@ def _problem_from_args(args: argparse.Namespace, h: float | None = None) -> FinP
         h=args.h if h is None else h,
         area=args.area,
         q0=args.q0,
-        t_inf=args.t_inf,
-        width=args.width,
     )
 
 
-def _sample_positions(length: float, samples: int) -> np.ndarray:
-    if samples < 2:
-        raise DomainError(f"--samples must be at least 2, got {samples}")
-    return np.linspace(0.0, length, samples)
+def _write_optimum(args: argparse.Namespace, problem: FinProblem,
+                   suffix: str = "") -> dict:
+    """Write the closed-form optimum's sampled tables; return its summary.
 
-
-def _write_tables(args, stem_profile, stem_temperature, xs, t, theta) -> None:
-    out = args.out_dir
-    if args.format == "csv":
-        write_profile_csv(out / f"{stem_profile}.csv", xs, t)
-        write_temperature_csv(out / f"{stem_temperature}.csv", xs, theta)
-    else:
-        write_table_json(out / f"{stem_profile}.json", ("x", "t", "t_half"),
-                         xs, t, 0.5 * t)
-        write_table_json(out / f"{stem_temperature}.json", ("x", "theta"), xs, theta)
-
-
-def _analytic_summary(problem: FinProblem) -> dict:
+    The tables are profile{suffix} and temperature{suffix} in args.format.
+    """
+    if args.samples < 2:
+        raise DomainError(f"--samples must be at least 2, got {args.samples}")
     sol = optimal_solution(problem)
-    breakdown = optimal_resistance_breakdown(problem, sol.length)
+    xs = np.linspace(0.0, sol.length, args.samples)
+    t = np.asarray(sol.thickness(xs))
+    theta = np.asarray(sol.temperature(xs))
+
+    out = args.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    if args.format == "csv":
+        write_profile_csv(out / f"profile{suffix}.csv", xs, t)
+        write_temperature_csv(out / f"temperature{suffix}.csv", xs, theta)
+    else:
+        write_table_json(out / f"profile{suffix}.json", ("x", "t", "t_half"),
+                         xs, t, 0.5 * t)
+        write_table_json(out / f"temperature{suffix}.json", ("x", "theta"), xs, theta)
+
+    breakdown = sol.resistances()
     return {
         "L": sol.length,
         "t0": sol.root_thickness,
@@ -135,49 +132,36 @@ def _analytic_summary(problem: FinProblem) -> dict:
 
 
 def _config_echo(args: argparse.Namespace, command: str, **extra) -> dict:
-    echo = {"command": command, "k": args.k, "area": args.area, "q0": args.q0,
-            "t_inf": args.t_inf, "width": args.width}
+    echo = {"command": command, "k": args.k, "area": args.area, "q0": args.q0}
     echo.update(extra)
     return echo
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    problem = _problem_from_args(args)
-    summary = _analytic_summary(problem)
-    sol = optimal_solution(problem)
-    xs = _sample_positions(sol.length, args.samples)
-    t = np.asarray(sol.thickness(xs))
-    theta = np.asarray(sol.temperature(xs))
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    summary = _write_optimum(args, _problem_from_args(args))
     summary["config"] = _config_echo(args, "analytic", h=args.h,
                                      samples=args.samples, format=args.format)
     write_json(args.out_dir / "summary.json", summary)
-    _write_tables(args, "profile", "temperature", xs, t, theta)
     print(f"optimal fin: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m, "
           f"compliance = {summary['compliance']:.6g} W K/m")
     return 0
 
 
 def _h_label(h: float) -> str:
-    if float(h).is_integer():
+    """File-name label of h: distinct for distinct h (shortest round-trip repr)."""
+    if h.is_integer():
         return str(int(h))
-    return format(h, "g").replace(".", "p").replace("-", "m")
+    return repr(h).replace(".", "p").replace("-", "m")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if len(set(args.h_values)) < len(args.h_values):
+        raise DomainError(f"--h-values repeats a value: {args.h_values}")
     problems = [(h, _problem_from_args(args, h=h)) for h in args.h_values]
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     summary_lines = [",".join(("h",) + SUMMARY_KEYS)]
     for h, problem in problems:
-        summary = _analytic_summary(problem)
-        sol = optimal_solution(problem)
-        xs = _sample_positions(sol.length, args.samples)
-        t = np.asarray(sol.thickness(xs))
-        theta = np.asarray(sol.temperature(xs))
-        label = _h_label(h)
-        _write_tables(args, f"profile_h{label}", f"temperature_h{label}", xs, t, theta)
+        summary = _write_optimum(args, problem, f"_h{_h_label(h)}")
         summary_lines.append(
             ",".join([format_float(h)] + [format_float(summary[k]) for k in SUMMARY_KEYS])
         )

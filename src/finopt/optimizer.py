@@ -49,7 +49,6 @@ __all__ = [
     "feasible_constant_profile",
     "optimize_length",
     "optimize_profile",
-    "verify_optimality",
 ]
 
 #: Relative slack allowed when checking that compliance never increases.
@@ -107,10 +106,11 @@ class OptimalityCheck:
     grad_temp_cv                 spread of dtheta/dx where it should be constant
     thickness_grad_linfit_residual  misfit of dt/dx to a straight line
     tip_temp_ratio               theta(tip) / theta(root)
-    selfadjoint_gap              max |w - theta| / theta(root): whether the
-                                 adjoint solve, with its own load dC/dtheta,
-                                 reproduces theta (the operator is symmetric
-                                 by construction)
+    selfadjoint_gap              max |w - theta| / theta(root); the adjoint
+                                 runs the primal's checked solve with its own
+                                 load dC/dtheta, so the gap is 0 by
+                                 construction and guards the pairing of
+                                 objective and load
     grad_temp_mean               mean dtheta/dx (should be -q0 / (h L^2))
     thickness_slope              fitted d(dt/dx)/dx (should be 2 h / k)
     """
@@ -594,8 +594,3 @@ def evaluate_profile_optimality(
         grad_temp_mean=mean_slope,
         thickness_slope=slope,
     )
-
-
-def verify_optimality(report: OptimizationReport, problem: FinProblem) -> OptimalityCheck:
-    """Recompute the optimality metrics for a finished report."""
-    return evaluate_profile_optimality(problem, report.profile)

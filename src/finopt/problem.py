@@ -8,6 +8,7 @@ both exposed sides, so the excess temperature theta = T - T_inf satisfies
 with a prescribed heat input per unit width at the root and an insulated
 tip.  The design questions (what thickness distribution, what length) are
 posed under a fixed profile area budget: integral of t over [0, L] = area.
+Four parameters fix the problem: k, h, area and q0.
 """
 
 from __future__ import annotations
@@ -26,19 +27,18 @@ class FinProblem:
     h        convection coefficient on the exposed faces, W/(m^2 K)
     area     profile area budget (integral of thickness over length), m^2
     q0       heat input per unit width at the root, W/m
-    t_inf    ambient temperature, K; only shifts reported temperatures
-    width    fin width used when quoting per-width quantities, m
+
+    Everything is per unit width and in excess temperature theta = T - T_inf,
+    so neither the width nor the ambient temperature enters any result.
     """
 
     k: float
     h: float
     area: float
     q0: float
-    t_inf: float = 0.0
-    width: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("k", "h", "area", "q0", "t_inf", "width"):
+        for name in ("k", "h", "area", "q0"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise DomainError(f"{name} must be a finite number, got {value!r}")
@@ -51,5 +51,3 @@ class FinProblem:
             raise DomainError(f"profile area budget must be positive, got {self.area}")
         if self.q0 < 0.0:
             raise DomainError(f"root heat input q0 must be nonnegative, got {self.q0}")
-        if self.width <= 0.0:
-            raise DomainError(f"width must be positive, got {self.width}")

@@ -3,10 +3,10 @@
 The compliance C = q0 * theta(0) of the discrete model A theta = b has the
 adjoint system A^T w = dC/dtheta = q0 * e0.  The fin operator is stored
 once, as row sums and one off-diagonal (see kernels), so A^T = A by
-construction and the adjoint reuses the primal assembly; it differs only
-by its load, which it builds itself.  That load coincides with the heat
-input, so w equals theta; the adjoint is still solved on its own, so that
-the identity is observed rather than assumed.
+construction, and the adjoint runs the primal's checked solve with its own
+load.  That load coincides with the heat input, so w equals theta bit for
+bit: the self-adjoint gap is 0 by construction, and it guards the pairing
+of objective and load.
 
 Each face value enters the matrix only through its own link conductance,
 so the gradient is diagonal in the face index:
@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .errors import DomainError, SolverError
+from .errors import DomainError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
-from .solver import assemble_fin_system, compliance, solve_temperature, thickness_floor
+from .solver import _solve_root_load, compliance, solve_temperature, thickness_floor
 
 __all__ = [
-    "AdjointField",
     "SensitivityField",
     "compliance_gradient",
     "finite_difference_gradient",
@@ -46,42 +44,18 @@ __all__ = [
 TIP_EXCLUSION = 0.1
 
 
-def interior_face_mask(mesh: Mesh, tip_fraction: float = TIP_EXCLUSION) -> np.ndarray:
+def interior_face_mask(mesh: Mesh) -> np.ndarray:
     """Boolean mask of faces outside the tip exclusion zone."""
-    return mesh.faces <= (1.0 - tip_fraction) * mesh.length
+    return mesh.faces <= (1.0 - TIP_EXCLUSION) * mesh.length
 
 
-@dataclass(frozen=True, eq=False)
-class AdjointField:
-    """Adjoint variable w at the mesh nodes."""
+def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
+    """Solve the adjoint system for the compliance objective.
 
-    mesh: Mesh
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def root_value(self) -> float:
-        return float(self.values[0])
-
-
-def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> AdjointField:
-    """Solve the adjoint system for the compliance objective."""
-    mesh = profile.mesh
-    floor = thickness_floor(problem, mesh.length)
-    if float(np.min(profile.values)) < floor:
-        raise SolverError(
-            f"profile has faces below the thickness floor {floor:g}; "
-            "clip it before solving"
-        )
-    convection, off, _ = assemble_fin_system(problem, profile)
-    load = np.zeros(mesh.n_nodes, dtype=np.float64)
-    load[0] = problem.q0  # dC/dtheta_0 for C = q0 * theta_0
-    try:
-        w = kernels.solve_spd_tridiagonal(convection, off, load)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"adjoint solve failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise SolverError("adjoint solve produced non-finite values")
-    return AdjointField(mesh, w)
+    The primal's checked solve with the adjoint's own load dC/dtheta_0 = q0
+    for C = q0 * theta_0.
+    """
+    return _solve_root_load(problem, profile, problem.q0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +83,7 @@ def compliance_gradient(
     problem: FinProblem,
     profile: ThicknessProfile,
     primal: TemperatureField,
-    adjoint: AdjointField,
+    adjoint: TemperatureField,
 ) -> SensitivityField:
     """Exact gradient of discrete compliance with respect to face thickness."""
     mesh = profile.mesh

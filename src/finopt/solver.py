@@ -67,11 +67,15 @@ def assemble_fin_system(
     return convection, off, rhs
 
 
-def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
-    """Solve for the excess temperature on the profile's mesh.
+def _solve_root_load(
+    problem: FinProblem, profile: ThicknessProfile, root_load: float
+) -> TemperatureField:
+    """Solve the fin system with root_load on the root node and no other load.
 
-    Raises SolverError if any face is below the thickness floor or the
-    direct solve fails; never returns NaNs.
+    The one checked solve of the package: the temperature passes the heat
+    input q0, the adjoint its own dC/dtheta_0.  Raises SolverError if any
+    face is below the thickness floor or the direct solve fails; never
+    returns NaNs.
     """
     mesh = profile.mesh
     floor = thickness_floor(problem, mesh.length)
@@ -80,14 +84,24 @@ def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> Tempera
             f"profile has faces below the thickness floor {floor:g}; "
             "clip it before solving"
         )
-    convection, off, rhs = assemble_fin_system(problem, profile)
+    convection, off, load = assemble_fin_system(problem, profile)
+    load[0] = root_load
     try:
-        theta = kernels.solve_spd_tridiagonal(convection, off, rhs)
+        theta = kernels.solve_spd_tridiagonal(convection, off, load)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta)):
-        raise SolverError("direct solve produced non-finite temperatures")
+        raise SolverError("direct solve produced non-finite values")
     return TemperatureField(mesh, theta)
+
+
+def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
+    """Solve for the excess temperature on the profile's mesh.
+
+    Raises SolverError if any face is below the thickness floor or the
+    direct solve fails; never returns NaNs.
+    """
+    return _solve_root_load(problem, profile, problem.q0)
 
 
 def compliance(problem: FinProblem, field: TemperatureField) -> float:

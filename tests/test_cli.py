@@ -8,7 +8,7 @@ import pytest
 import finopt
 import finopt.kernels
 import finopt.optimizer
-from finopt.cli import build_parser, main
+from finopt.cli import _h_label, build_parser, main
 from finopt.tables import read_profile_csv
 from conftest import ORACLE_H20
 
@@ -123,6 +123,42 @@ class TestSweep:
     def test_empty_h_list_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", *BASE, "--h-values", "--out-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+
+    def test_close_h_values_get_their_own_tables(self, tmp_path):
+        code = main(["sweep", *BASE, "--h-values", "20", "20.0000001",
+                     "--samples", "5", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("profile_h*.csv")) == [
+            "profile_h20.csv", "profile_h20p0000001.csv",
+        ]
+        assert ((tmp_path / "profile_h20.csv").read_bytes()
+                != (tmp_path / "profile_h20p0000001.csv").read_bytes())
+
+    def test_repeated_h_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", *BASE, "--h-values", "20", "50", "20.0",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--h-values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("h", [3.7, 0.125, 1e-05, 2.5e-07, 123.456, 99999.5])
+    def test_labels_up_to_six_digits_unchanged(self, h):
+        assert _h_label(h) == format(h, "g").replace(".", "p").replace("-", "m")
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flag", ["--t-inf", "--width"])
+    @pytest.mark.parametrize("command", [
+        ["analytic", *BASE, "--h", "20"],
+        ["sweep", *BASE],
+        ["optimize", *BASE, "--h", "20"],
+        ["verify", "profile.csv", *BASE, "--h", "20"],
+    ], ids=["analytic", "sweep", "optimize", "verify"])
+    def test_is_usage_error(self, command, flag):
+        # argparse rejects the flag before any file is read or written
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, "1"])
         assert excinfo.value.code == 2
 
 

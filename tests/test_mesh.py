@@ -1,5 +1,7 @@
 """Mesh, profile, and problem container invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,9 +101,9 @@ class TestTemperatureField:
 
 class TestFinProblem:
     def test_valid_roundtrip(self):
-        p = FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0)
-        assert p.t_inf == 0.0
-        assert p.width == 1.0
+        p = FinProblem(k=200, h=20.0, area=1.6e-4, q0=20)
+        assert dataclasses.astuple(p) == (200.0, 20.0, 1.6e-4, 20.0)
+        assert all(type(value) is float for value in dataclasses.astuple(p))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -111,7 +113,7 @@ class TestFinProblem:
             {"h": 0.0},
             {"area": -1e-4},
             {"q0": -5.0},
-            {"width": 0.0},
+            {"area": 0.0},
             {"k": float("nan")},
             {"h": float("inf")},
         ],

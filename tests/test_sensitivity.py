@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finopt import (
     DomainError,
@@ -14,9 +16,10 @@ from finopt import (
     optimal_length,
     solve_adjoint,
     solve_temperature,
+    thickness_floor,
 )
 from finopt.sensitivity import TIP_EXCLUSION, interior_face_mask
-from finopt.mesh import Mesh
+from finopt.mesh import Mesh, ThicknessProfile
 from conftest import (
     five_reference_profiles,
     optimal_profile,
@@ -46,6 +49,27 @@ class TestSelfAdjointness:
         w = solve_adjoint(high_h_problem, profile)
         gap = np.max(np.abs(w.values - theta.values)) / theta.root_value
         assert gap <= 1e-10
+
+    @given(
+        log_k=st.floats(-1.0, 3.0),
+        log_h=st.floats(-1.0, 4.0),
+        log_q0=st.floats(-2.0, 3.0),
+        n_cells=st.integers(4, 4000),
+        factor=st.floats(0.3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_is_primal_bitwise(self, log_k, log_h, log_q0, n_cells, factor, seed):
+        # The adjoint load dC/dtheta of C = q0 theta(0) is the heat input,
+        # so both go through one solve and agree to the last bit.
+        problem = FinProblem(k=10.0**log_k, h=10.0**log_h, area=1e-4, q0=10.0**log_q0)
+        length = factor * optimal_length(problem)
+        rng = np.random.default_rng(seed)
+        values = (problem.area / length) * 10.0 ** rng.uniform(-3.0, 0.0, n_cells)
+        values = np.maximum(values, thickness_floor(problem, length))
+        profile = ThicknessProfile(Mesh(n_cells, length), values)
+        w = solve_adjoint(problem, profile)
+        assert np.array_equal(w.values, solve_temperature(problem, profile).values)
 
     def test_zero_load_gives_zero_adjoint(self, base_problem):
         cold = dataclasses.replace(base_problem, q0=0.0)
@@ -103,11 +127,6 @@ class TestInteriorMask:
         assert np.all(faces[mask] <= (1.0 - TIP_EXCLUSION) * mesh.length)
         assert np.all(faces[~mask] > (1.0 - TIP_EXCLUSION) * mesh.length)
         assert np.count_nonzero(mask) == 90
-
-    def test_custom_fraction(self):
-        mesh = Mesh(50, 2.0)
-        narrow = interior_face_mask(mesh, tip_fraction=0.5)
-        assert np.all(mesh.faces[narrow] <= 0.5 * mesh.length)
 
 
 class TestFiniteDifferenceAgreement:
