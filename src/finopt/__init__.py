@@ -24,6 +24,7 @@ from .errors import DomainError, OptimizationError, ProfileFormatError, SolverEr
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .optimizer import (
     InnerIteration,
+    LongFin,
     OptimalityCertificate,
     OptimalityCheck,
     OptimizationReport,
@@ -58,6 +59,7 @@ __all__ = [
     "DomainError",
     "FinProblem",
     "InnerIteration",
+    "LongFin",
     "Mesh",
     "OptimalityCertificate",
     "OptimalityCheck",

@@ -147,11 +147,16 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _h_label(h: float) -> str:
-    """File-name label of h: distinct for distinct h (shortest round-trip repr)."""
+def _h_text(h: float) -> str:
+    """h as sweep prints it: distinct for distinct h (shortest round-trip repr)."""
     if h.is_integer():
         return str(int(h))
-    return repr(h).replace(".", "p").replace("-", "m")
+    return repr(h)
+
+
+def _h_label(h: float) -> str:
+    """File-name label of h: its printed text with "." as "p" and "-" as "m"."""
+    return _h_text(h).replace(".", "p").replace("-", "m")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -165,7 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary_lines.append(
             ",".join([format_float(h)] + [format_float(summary[k]) for k in SUMMARY_KEYS])
         )
-        print(f"h = {h:g}: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m")
+        print(f"h = {_h_text(h)}: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m")
     (args.out_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
     return 0
 
@@ -233,7 +238,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         report = optimize_length(problem, options)
 
-    theta = solve_temperature(problem, report.profile)
     breakdown = resistance_breakdown(problem, report.compliance, report.length)
     checks = _threshold_checks(problem, report.optimality, args)
     # No floored face may want to grow: its gradient density, over the
@@ -253,7 +257,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     t_nodes[-1] = max(1.5 * t_f[-1] - 0.5 * t_f[-2], 0.0)
     write_profile_csv(args.out_dir / "profile.csv", mesh.nodes, t_nodes)
     write_temperature_csv(args.out_dir / "temperature.csv",
-                          mesh.nodes, theta.values)
+                          mesh.nodes, report.temperature.values)
 
     print(f"optimized fin: L = {report.length:.6g} m, "
           f"compliance = {report.compliance:.6g} W K/m, "
@@ -274,8 +278,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     values = np.maximum(np.interp(mesh.faces, xs, ts), floor)
     profile = ThicknessProfile(mesh, values)
 
-    check = evaluate_profile_optimality(problem, profile)
     theta = solve_temperature(problem, profile)
+    check = evaluate_profile_optimality(problem, profile, theta)
     breakdown = resistance_breakdown(problem, compliance(problem, theta), length)
     print(f"profile: L = {length:.6g} m, area = {profile.area:.6g} m^2, "
           f"biot = {breakdown.biot:.4g}")

@@ -80,8 +80,13 @@ def solve_spd_tridiagonal(
     # conductances -e, and every level's d = s - e_left - e_right and
     # s_next = s - (e / d) s sum positive terms where d_next = d - e**2 / d
     # would cancel.  Row j of level l is row j * 2**l of the matrix.
+    # Every product goes through one scratch array the size of the first
+    # level's odd rows, and each level's e_next overwrites its c: a fresh
+    # n-long temporary per operation costs a page-in at 1e5 rows.  The
+    # caller's arrays are only read.
     e, b = off, rhs
     levels = []
+    scratch = np.empty(m // 2)
     while s.shape[0] > THOMAS_ROWS:
         # Odd row j couples to even rows j (left) and j + 1 (right); the
         # last odd row of an even-sized system has no right neighbour.
@@ -97,14 +102,16 @@ def solve_spd_tridiagonal(
             )
         a = e_left / d_odd
         c = e_right / d_odd[:n_right]
+        product, right = scratch[:n_odd], scratch[:n_right]
         s_next = s[0::2].copy()
-        s_next[:n_odd] -= a * s_odd
-        s_next[1:] -= c * s_odd[:n_right]
+        s_next[:n_odd] -= np.multiply(a, s_odd, out=product)
+        s_next[1:] -= np.multiply(c, s_odd[:n_right], out=right)
         b_next = b[0::2].copy()
-        b_next[:n_odd] -= a * b_odd
-        b_next[1:] -= c * b_odd[:n_right]
+        b_next[:n_odd] -= np.multiply(a, b_odd, out=product)
+        b_next[1:] -= np.multiply(c, b_odd[:n_right], out=right)
         levels.append((d_odd, e_left, e_right, b_odd))
-        s, e, b = s_next, -(a[:n_right] * e_right), b_next
+        e_next = np.multiply(a[:n_right], e_right, out=c)
+        s, e, b = s_next, np.negative(e_next, out=e_next), b_next
 
     d = s.copy()
     d[:-1] -= e
@@ -118,10 +125,12 @@ def solve_spd_tridiagonal(
         ) from None
 
     for d_odd, e_left, e_right, b_odd in reversed(levels):
-        r = b_odd - e_left * x[: d_odd.shape[0]]
-        r[: e_right.shape[0]] -= e_right * x[1:]
-        x_full = np.empty(x.shape[0] + d_odd.shape[0])
+        n_odd, n_right = d_odd.shape[0], e_right.shape[0]
+        x_full = np.empty(x.shape[0] + n_odd)
         x_full[0::2] = x
-        x_full[1::2] = r / d_odd
+        odd = x_full[1::2]
+        np.subtract(b_odd, np.multiply(e_left, x[:n_odd], out=odd), out=odd)
+        odd[:n_right] -= np.multiply(e_right, x[1:], out=scratch[:n_right])
+        odd /= d_odd
         x = x_full
     return x

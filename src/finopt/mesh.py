@@ -7,7 +7,9 @@ evaluated.  One thickness value per internode link keeps the compliance
 sensitivity diagonal in the face index.
 
 All containers are immutable; functions operating on them are pure, so
-everything here can be shared freely across threads.
+everything here can be shared freely across threads.  A container keeps a
+read-only float64 array that owns its data as is and copies any other
+input.
 """
 
 from __future__ import annotations
@@ -71,7 +73,19 @@ class Mesh:
 
 
 def _frozen_array(values, expected_len: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    # A read-only float64 array that owns its data cannot change under the
+    # container, so it is kept as is; anything else is copied.  The solver
+    # and optimizer hand over their fresh results this way, which spares an
+    # n-long copy per field.
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != expected_len:
         raise DomainError(f"{what} must be a 1D array of length {expected_len}")
     if not np.all(np.isfinite(arr)):

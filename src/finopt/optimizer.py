@@ -9,9 +9,16 @@ flux the floored tail draws follows a linear-fractional recursion from the
 tip, which is also solved in closed form.  The only unknown is the number
 of active faces, the largest that keeps every active face above the floor:
 one O(n) pass of whole-array operations, with no iteration and no Python
-loop over cells.  A solve of the result measures the certificate (density
-spread on the support, largest floored density over lambda, area error); a
-failed certificate raises OptimizationError.
+loop over cells.  One solve of the result at the real load q0 measures the
+certificate (density spread on the support, largest floored density over
+lambda, area error); a failed certificate raises OptimizationError.
+
+Solves per call.  optimize_profile makes three: the constant start, whose
+compliance is the first history row; the result, whose temperature serves
+the certificate, the compliance, the optimality metrics and the report's
+temperature field; and the adjoint of evaluate_profile_optimality, so the
+self-adjoint gap still compares two solves.  optimize_length makes four:
+the long fin's certifying solve, then one optimize_profile.
 
 The optimality-criteria (OC) iteration that reaches the same profile,
 rescaling every face by (density / lambda)^eta, is kept as the private
@@ -21,8 +28,11 @@ Optimal length: the support of the optimized profile.  The optimality
 conditions make dt/dx linear with t = dt/dx = 0 at the tip, so sqrt(t) is
 linear in x and its root is the optimal length.  One long fin is optimized,
 the root of a closed-form least-squares line through sqrt(t) is taken as
-the length, and the fin is optimized again at that length.  The
-closed-form optimal length only sizes the long fin.
+the length, and the fin is optimized again at that length.  The long fin
+is kept as a LongFin record (length, profile, certificate): only its
+direct step and certificate run, since nothing reads its start row or its
+optimality metrics.  The closed-form optimal length only sizes the long
+fin.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .solver import solve_temperature, thickness_floor, variational_compliance
 
 __all__ = [
     "InnerIteration",
+    "LongFin",
     "OptimalityCertificate",
     "OptimalityCheck",
     "OptimizationReport",
@@ -141,12 +152,28 @@ class OptimalityCertificate:
 
 
 @dataclass(frozen=True, eq=False)
+class LongFin:
+    """The long fin of a length run: its length, profile and certificate.
+
+    The support of the profile, certificate.support_faces faces, is the
+    optimal length the run fits.
+    """
+
+    length: float
+    profile: ThicknessProfile = field(repr=False)
+    certificate: OptimalityCertificate
+
+
+@dataclass(frozen=True, eq=False)
 class OptimizationReport:
     """Outcome of an optimization run.
 
     history has two rows, the feasible constant start and the result, and
-    inner_iterations is 1: the profile comes from one pass.  A length run
-    keeps its long-fin run in long_fin.
+    inner_iterations is 1: the profile comes from one pass.  temperature is
+    the result's solve at the load q0; it gives the compliance, the
+    certificate and the optimality metrics.  A length run keeps its long
+    fin in long_fin.  A fixed-length run makes three kernel solves (start,
+    temperature, adjoint), a length run four (the long fin's one more).
     """
 
     profile: ThicknessProfile
@@ -157,7 +184,8 @@ class OptimizationReport:
     history: tuple[InnerIteration, ...] = field(repr=False)
     optimality: OptimalityCheck
     certificate: OptimalityCertificate
-    long_fin: OptimizationReport | None = field(default=None, repr=False)
+    temperature: TemperatureField = field(repr=False)
+    long_fin: LongFin | None = field(default=None, repr=False)
 
 
 def feasible_constant_profile(mesh: Mesh, area: float) -> ThicknessProfile:
@@ -260,11 +288,15 @@ def _solve_optimality_conditions(
 def _certify(
     problem: FinProblem,
     profile: ThicknessProfile,
-    theta_hat: TemperatureField,
+    theta: TemperatureField,
     slope: float,
     support: int,
 ) -> OptimalityCertificate:
-    """Measure the optimality conditions on a unit-load solve; raise if unmet."""
+    """Measure the optimality conditions on a solve; raise if unmet.
+
+    slope is the |dtheta/dx| the conditions set on the support, at the
+    load theta was solved with.
+    """
     area_error = abs(_face_integral(profile.values, profile.mesh.dx) - problem.area)
     area_error /= problem.area
     if area_error > AREA_TOL:
@@ -272,7 +304,7 @@ def _certify(
             f"the solved profile leaves the area budget unmet "
             f"(relative error {area_error:g})"
         )
-    gradient = np.diff(theta_hat.values) / profile.mesh.dx
+    gradient = np.diff(theta.values) / profile.mesh.dx
     ratio = (gradient / slope) ** 2
     certificate = OptimalityCertificate(
         support_faces=support,
@@ -289,6 +321,24 @@ def _certify(
     return certificate
 
 
+def _optimize_direct(
+    problem: FinProblem, length: float, n_cells: int
+) -> tuple[ThicknessProfile, TemperatureField, float, OptimalityCertificate]:
+    """Optimal profile, its solve at the load q0, slope and certificate.
+
+    One kernel solve.  slope is |dtheta/dx| on the support per unit root
+    flux; the solve's is q0 times it.
+    """
+    if problem.q0 <= 0.0:
+        raise DomainError("shape optimization needs a positive root heat input")
+    values, slope, support = _solve_optimality_conditions(problem, length, n_cells)
+    values.flags.writeable = False  # the profile keeps it without a copy
+    profile = ThicknessProfile(Mesh(n_cells, length), values)
+    theta = solve_temperature(problem, profile)
+    certificate = _certify(problem, profile, theta, problem.q0 * slope, support)
+    return profile, theta, slope, certificate
+
+
 def optimize_profile(
     problem: FinProblem,
     length: float,
@@ -296,46 +346,37 @@ def optimize_profile(
 ) -> OptimizationReport:
     """Compliance-optimal profile at fixed fin length, solved directly.
 
-    The profile does not depend on the load: it is built and solved for a
-    unit root flux, and compliance and multiplier are scaled by q0^2, so the
-    profile is bitwise identical for every q0 > 0.
+    The profile does not depend on the load: it is built for a unit root
+    flux, so it is bitwise identical for every q0 > 0, and the multiplier
+    is scaled by q0^2.  Three kernel solves: the constant start, the
+    result and its adjoint.
     """
-    if problem.q0 <= 0.0:
-        raise DomainError("shape optimization needs a positive root heat input")
-    mesh = Mesh(options.n_cells, length)
-    unit_problem = replace(problem, q0=1.0)
-    load_scale = problem.q0 * problem.q0
-
-    values, slope, support = _solve_optimality_conditions(
+    profile, theta, slope, certificate = _optimize_direct(
         problem, length, options.n_cells
     )
-    start = feasible_constant_profile(mesh, problem.area)
+    start = feasible_constant_profile(profile.mesh, problem.area)
     start_compliance = variational_compliance(
-        unit_problem, start, solve_temperature(unit_problem, start)
+        problem, start, solve_temperature(problem, start)
     )
-    profile = ThicknessProfile(mesh, values)
-    theta_hat = solve_temperature(unit_problem, profile)
-    certificate = _certify(problem, profile, theta_hat, slope, support)
-    current = variational_compliance(unit_problem, profile, theta_hat)
+    current = variational_compliance(problem, profile, theta)
 
     start_area_error = abs(start.area - problem.area) / problem.area
+    change = np.abs(profile.values - start.values)
+    change /= start.values
     history = (
-        InnerIteration(load_scale * start_compliance, start_area_error, math.inf),
-        InnerIteration(
-            load_scale * current,
-            certificate.area_error,
-            float(np.max(np.abs(values - start.values) / start.values)),
-        ),
+        InnerIteration(start_compliance, start_area_error, math.inf),
+        InnerIteration(current, certificate.area_error, float(np.max(change))),
     )
     return OptimizationReport(
         profile=profile,
-        length=mesh.length,
-        compliance=load_scale * current,
-        lagrange_multiplier=load_scale * problem.k * slope * slope,
+        length=profile.mesh.length,
+        compliance=current,
+        lagrange_multiplier=problem.q0 * problem.q0 * problem.k * slope * slope,
         inner_iterations=1,
         history=history,
-        optimality=evaluate_profile_optimality(problem, profile),
+        optimality=evaluate_profile_optimality(problem, profile, theta),
         certificate=certificate,
+        temperature=theta,
     )
 
 
@@ -531,34 +572,40 @@ def _long_fin_length(problem: FinProblem, n_cells: int) -> float:
 def optimize_length(
     problem: FinProblem, options: OptimizerOptions = OptimizerOptions()
 ) -> OptimizationReport:
-    """Optimize the fin length and profile in two fixed-length runs.
+    """Optimize the fin length and profile; four kernel solves.
 
-    The first run optimizes a fin about LONG_FIN_FACTOR times the
-    closed-form optimal length; the support of its profile is the optimal
-    length.  The second run optimizes at that length and is the result; it
-    keeps the first in long_fin.
+    A fin about LONG_FIN_FACTOR times the closed-form optimal length gets
+    its optimal profile and one certifying solve; the support of that
+    profile is the optimal length.  optimize_profile at that length is the
+    result, which keeps the long fin in long_fin.
     """
-    long_fin = optimize_profile(
-        problem, _long_fin_length(problem, options.n_cells), options
+    length = _long_fin_length(problem, options.n_cells)
+    profile, _theta, _slope, certificate = _optimize_direct(
+        problem, length, options.n_cells
     )
-    floor = thickness_floor(problem, long_fin.length)
-    result = optimize_profile(
-        problem, _support_length(long_fin.profile, floor), options
-    )
-    return replace(result, long_fin=long_fin)
+    floor = thickness_floor(problem, length)
+    result = optimize_profile(problem, _support_length(profile, floor), options)
+    return replace(result, long_fin=LongFin(length, profile, certificate))
 
 
 def evaluate_profile_optimality(
-    problem: FinProblem, profile: ThicknessProfile
+    problem: FinProblem,
+    profile: ThicknessProfile,
+    theta: TemperatureField | None = None,
 ) -> OptimalityCheck:
     """Compute the optimality residual metrics for one profile.
 
-    Faces in the tip exclusion zone are left out of the gradient-constancy
-    and thickness-slope metrics; the thickness floor regularizes that
-    neighborhood, so the pointwise conditions cannot hold there.
+    theta, if given, must be solve_temperature(problem, profile); it saves
+    that solve, and only the adjoint is solved.  Faces in the tip exclusion
+    zone are left out of the gradient-constancy and thickness-slope
+    metrics; the thickness floor regularizes that neighborhood, so the
+    pointwise conditions cannot hold there.
     """
     mesh = profile.mesh
-    theta = solve_temperature(problem, profile)
+    if theta is None:
+        theta = solve_temperature(problem, profile)
+    elif theta.mesh != mesh:
+        raise DomainError("temperature field and profile live on different meshes")
     adjoint = solve_adjoint(problem, profile)
 
     tiny = float(np.finfo(np.float64).tiny)

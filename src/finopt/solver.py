@@ -92,6 +92,7 @@ def _solve_root_load(
         raise SolverError(f"direct solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise SolverError("direct solve produced non-finite values")
+    theta.flags.writeable = False  # the field keeps it without a copy
     return TemperatureField(mesh, theta)
 
 

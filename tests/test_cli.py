@@ -135,6 +135,13 @@ class TestSweep:
         assert ((tmp_path / "profile_h20.csv").read_bytes()
                 != (tmp_path / "profile_h20p0000001.csv").read_bytes())
 
+    def test_close_h_values_print_their_own_labels(self, tmp_path, capsys):
+        code = main(["sweep", *BASE, "--h-values", "20", "20.0000001", "3.7",
+                     "--samples", "5", "--out-dir", str(tmp_path)])
+        assert code == 0
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == ["h = 20", "h = 20.0000001", "h = 3.7"]
+
     def test_repeated_h_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", *BASE, "--h-values", "20", "50", "20.0",
                      "--out-dir", str(tmp_path)])

@@ -86,6 +86,31 @@ class TestThicknessProfile:
         with pytest.raises(ValueError):
             profile.values[0] = 5.0
 
+    def test_writeable_input_is_copied(self):
+        values = np.ones(4)
+        profile = ThicknessProfile(Mesh(4, 1.0), values)
+        values[0] = 5.0
+        assert profile.values[0] == 1.0
+        assert values.flags.writeable
+
+    def test_read_only_owner_is_kept_and_views_are_copied(self):
+        values = np.ones(8)
+        values.flags.writeable = False
+        assert ThicknessProfile(Mesh(8, 1.0), values).values is values
+        # A read-only view may still change through its writeable base.
+        base = np.ones(8)
+        view = base[:4]
+        view.flags.writeable = False
+        profile = ThicknessProfile(Mesh(4, 1.0), view)
+        base[0] = 5.0
+        assert profile.values[0] == 1.0
+
+    def test_read_only_owner_is_still_checked(self):
+        values = np.array([1.0, -1.0, 1.0, 1.0])
+        values.flags.writeable = False
+        with pytest.raises(DomainError):
+            ThicknessProfile(Mesh(4, 1.0), values)
+
 
 class TestTemperatureField:
     def test_end_values(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from finopt import (
     DomainError,
     FinProblem,
+    LongFin,
     OptimalityCertificate,
     OptimizationError,
     OptimizerOptions,
@@ -36,7 +37,7 @@ from finopt.optimizer import (
     _tail_flux,
 )
 from finopt.sensitivity import TIP_EXCLUSION
-from finopt.solver import assemble_fin_system, thickness_floor
+from finopt.solver import assemble_fin_system, solve_temperature, thickness_floor
 from conftest import ORACLE_H20, optimal_profile, rectangular_profile
 
 N_CELLS = 1000
@@ -200,6 +201,11 @@ class TestFixedLengthOptimization:
         with pytest.raises(DomainError):
             optimize_profile(cold, 0.1, OptimizerOptions())
 
+    def test_length_run_rejects_zero_load(self, problem):
+        cold = dataclasses.replace(problem, q0=0.0)
+        with pytest.raises(DomainError):
+            optimize_length(cold, OptimizerOptions())
+
     def test_unreachable_area_budget_raises(self, problem):
         # Half again the budget on every face: the oracle's 20 % move limit
         # cannot bring the area back in one step, so the step's check fails.
@@ -303,6 +309,14 @@ class TestOptimalityMetrics:
         oc = evaluate_profile_optimality(problem, profile)
         assert oc.grad_temp_cv > 0.1
 
+    def test_given_temperature_must_share_the_mesh(self, problem):
+        profile = optimal_profile(problem, N_CELLS)
+        other = optimal_profile(problem, N_CELLS // 2)
+        with pytest.raises(DomainError, match="different meshes"):
+            evaluate_profile_optimality(
+                problem, profile, solve_temperature(problem, other)
+            )
+
     def test_verify_optimality_consistent_with_report(self, problem, fixed_length_report):
         oc = evaluate_profile_optimality(problem, fixed_length_report.profile)
         assert oc.grad_temp_cv == pytest.approx(
@@ -351,7 +365,7 @@ class TestLengthSearch:
     def test_keeps_the_long_fin_run(self, problem, searched_report):
         long_fin = searched_report.long_fin
         assert long_fin.length == _long_fin_length(problem, N_CELLS)
-        assert long_fin.long_fin is None
+        assert isinstance(long_fin, LongFin)
         assert long_fin.certificate.support_faces < N_CELLS
         edge = long_fin.profile.mesh.faces[long_fin.certificate.support_faces]
         assert abs(searched_report.length / edge - 1.0) <= 1e-2
