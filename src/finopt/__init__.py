@@ -3,8 +3,9 @@
 Closed-form optimum of the convecting fin under a profile area budget, a
 finite-volume solver for arbitrary thickness profiles, adjoint compliance
 sensitivities, and a shape optimizer that solves the discrete optimality
-conditions directly and certifies the result; the support of an optimized
-long fin rediscovers the closed-form optimal length numerically.
+conditions directly and certifies the result; the root of an optimized
+long fin's temperature rediscovers the closed-form optimal length
+numerically.
 """
 
 from .analytic import (

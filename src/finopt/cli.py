@@ -37,7 +37,7 @@ from .optimizer import (
     optimize_profile,
 )
 from .problem import FinProblem
-from .solver import compliance, solve_temperature, thickness_floor
+from .solver import compliance, solve_temperature
 from .tables import (
     format_float,
     read_profile_csv,
@@ -225,7 +225,6 @@ def _optimize_payload(report, breakdown, checks, args) -> dict:
         payload["length_search"] = {
             "long_fin_length": report.long_fin.length,
             "long_fin_support_faces": report.long_fin.certificate.support_faces,
-            "fitted_support": report.length,
         }
     return payload
 
@@ -240,8 +239,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     breakdown = resistance_breakdown(problem, report.compliance, report.length)
     checks = _threshold_checks(problem, report.optimality, args)
-    # No floored face may want to grow: its gradient density, over the
-    # multiplier, stays at most 1 up to the solve's rounding.
+    # No zero face past the support may want to grow: its gradient density,
+    # over the multiplier, stays at most 1 up to the solve's rounding.
     checks.append(("certificate", report.certificate.floored_density_ratio,
                    1.0 + DENSITY_SLACK))
 
@@ -274,9 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     length = float(xs[-1])
     mesh = Mesh(args.n_cells, length)
-    floor = thickness_floor(problem, length)
-    values = np.maximum(np.interp(mesh.faces, xs, ts), floor)
-    profile = ThicknessProfile(mesh, values)
+    profile = ThicknessProfile(mesh, np.interp(mesh.faces, xs, ts))
 
     theta = solve_temperature(problem, profile)
     check = evaluate_profile_optimality(problem, profile, theta)

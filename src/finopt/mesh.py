@@ -98,9 +98,9 @@ def _frozen_array(values, expected_len: int, what: str) -> np.ndarray:
 class ThicknessProfile:
     """Fin thickness sampled at mesh faces.
 
-    Values must be nonnegative; a zero only makes sense when sampling the
-    closed-form optimum (which pinches to nothing at the tip) and is
-    rejected by the discrete solver, which enforces its thickness floor.
+    Values must be finite and nonnegative.  A zero face carries no heat:
+    the solver admits it, and the nodes it cuts off from the root get
+    theta = 0, as past the support of an optimal profile.
     """
 
     mesh: Mesh

@@ -2,16 +2,16 @@
 
 Fixed length: the profile comes straight from the discrete optimality
 conditions.  Stationarity of the Lagrangian makes the gradient density
-k (dtheta/dx)^2 equal to the area multiplier lambda on every face above the
-thickness floor, so the temperature falls linearly over the support, and a
-flux balance then gives each active face's thickness in closed form.  The
-flux the floored tail draws follows a linear-fractional recursion from the
-tip, which is also solved in closed form.  The only unknown is the number
-of active faces, the largest that keeps every active face above the floor:
-one O(n) pass of whole-array operations, with no iteration and no Python
-loop over cells.  One solve of the result at the real load q0 measures the
-certificate (density spread on the support, largest floored density over
-lambda, area error); a failed certificate raises OptimizationError.
+k (dtheta/dx)^2 equal to the area multiplier lambda on every face of the
+support, so the temperature falls linearly over it, theta = g (r - x), and
+a flux balance then gives each active face's thickness in closed form.  The
+faces past the support have zero thickness, and the nodes past it get
+theta = 0.  The only unknown is the number of active faces, the largest
+whose every face is positive: one O(n) pass of whole-array operations, with
+no iteration and no Python loop over cells.  One solve of the result at the
+real load q0 measures the certificate (density spread on the support,
+largest density over lambda past it, area error); a failed certificate
+raises OptimizationError.
 
 Solves per call.  optimize_profile makes three: the constant start, whose
 compliance is the first history row; the result, whose temperature serves
@@ -24,13 +24,12 @@ The optimality-criteria (OC) iteration that reaches the same profile,
 rescaling every face by (density / lambda)^eta, is kept as the private
 test oracle _optimize_profile_oc; the package does not call it.
 
-Optimal length: the support of the optimized profile.  The optimality
-conditions make dt/dx linear with t = dt/dx = 0 at the tip, so sqrt(t) is
-linear in x and its root is the optimal length.  One long fin is optimized,
-the root of a closed-form least-squares line through sqrt(t) is taken as
-the length, and the fin is optimized again at that length.  The long fin
-is kept as a LongFin record (length, profile, certificate): only its
-direct step and certificate run, since nothing reads its start row or its
+Optimal length: the root r of the optimal temperature.  The optimality
+conditions make theta fall linearly to zero at r, where the optimal fin
+ends.  One fin longer than its support is optimized, its r is taken as the
+length, and the fin is optimized again at that length.  The long fin is
+kept as a LongFin record (length, profile, certificate): only its direct
+step and certificate run, since nothing reads its start row or its
 optimality metrics.  The closed-form optimal length only sizes the long
 fin.
 """
@@ -47,7 +46,7 @@ from .errors import DomainError, OptimizationError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
 from .sensitivity import TIP_EXCLUSION, interior_face_mask, solve_adjoint
-from .solver import solve_temperature, thickness_floor, variational_compliance
+from .solver import solve_temperature, variational_compliance
 
 __all__ = [
     "InnerIteration",
@@ -68,22 +67,24 @@ DESCENT_SLACK = 1e-12
 #: Largest relative area error a profile may leave before the run fails.
 AREA_TOL = 1e-10
 
-#: Slack of the certificate's floored-face condition, max floored density
-#: <= lambda (1 + DENSITY_SLACK).  The densities come from a solve whose
-#: rounding spreads them over the support by about 1e-10 at 1e5 cells; a
-#: support one face short of the optimum shows a ratio of 1.01 there, and
-#: of 1.09 or more on 1e4 cells or fewer.
+#: Slack of the certificate's condition on the zero faces past the support,
+#: max density there <= lambda (1 + DENSITY_SLACK).  The densities come from
+#: a solve whose rounding spreads them over the support by about 1e-10 at
+#: 1e5 cells.  A support one face short of the optimum shows a ratio of
+#: about 1 + 0.67 / n at L*, where the last face is the thinnest (1 + 6.7e-6
+#: at 1e5 cells), and 2.25 on the long fin of optimize_length.
 DENSITY_SLACK = 1e-6
 
-#: Approximate length of the fin whose optimized support gives the optimal
-#: length, in units of the closed-form optimum.  The fin only has to
+#: Approximate length of the fin whose optimal temperature's root gives the
+#: optimal length, in units of the closed-form optimum.  The fin only has to
 #: outreach the support.
 LONG_FIN_FACTOR = 3
 
-#: Span of the support, as fractions of the first floored face's position,
-#: over which sqrt(t) is fitted: clear of the root cell and of the floored
-#: tip transition.
-SUPPORT_FIT_WINDOW = (0.2, 0.8)
+#: The OC oracle's thickness floor, in units of (h/k) L^2.  Its update
+#: shrinks a face by at most the move limit per step, so it only approaches
+#: a zero face; such faces stop at this floor, far below the 1e-9 t0 that
+#: the oracle's agreement with the direct solve is held to.
+OC_FLOOR_RATIO = 1e-15
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,10 @@ class OptimalityCheck:
 class OptimalityCertificate:
     """The discrete optimality conditions, measured on a solve of the result.
 
-    support_faces          m: faces 0..m-1 are above the thickness floor
+    support_faces          m: faces 0..m-1 are positive, the rest zero
     density_spread         max |density / lambda - 1| over the support
-    floored_density_ratio  max density / lambda over the floored faces
-                           (0 when no face is floored)
+    floored_density_ratio  max density / lambda over the zero faces past
+                           the support (0 when the support is the whole fin)
     area_error             |area - budget| / budget
     """
 
@@ -155,8 +156,9 @@ class OptimalityCertificate:
 class LongFin:
     """The long fin of a length run: its length, profile and certificate.
 
-    The support of the profile, certificate.support_faces faces, is the
-    optimal length the run fits.
+    Its profile ends in zero faces past certificate.support_faces faces;
+    the root of its temperature, just past the support, is the length of
+    the run's result.
     """
 
     length: float
@@ -198,91 +200,57 @@ def _face_integral(values: np.ndarray, dx: float) -> float:
     return float(np.sum(values)) * dx
 
 
-def _tail_flux(conductance: float, convection: np.ndarray) -> np.ndarray:
-    """phi[j]: flux into the floored faces j.. per unit theta_j, from the tip.
-
-    The tip node sheds c/2, so phi[n-1] = K (c/2) / (K + c/2); every step
-    past it is the map phi -> K (c + phi) / (K + c + phi), whose fixed
-    points are phi+ > 0 > phi-.  z = (phi - phi+) / (phi - phi-) shrinks by
-    rho = f'(phi+) = (K / (K + c + phi+))^2 per step toward the root, which
-    gives phi in closed form.  Beyond ceil(40 / |ln rho|) steps z is below
-    e^-40 of its start and phi is phi+ to rounding, so the power is capped
-    there, clear of subnormals.
-    """
-    n = convection.size - 1
-    c = convection[1]
-    spread = math.sqrt(c * c + 4.0 * conductance * c)
-    phi_plus = 2.0 * conductance * c / (c + spread)
-    phi_minus = -0.5 * (c + spread)
-    rho = (conductance / (conductance + c + phi_plus)) ** 2
-    tip = conductance * convection[n] / (conductance + convection[n])
-    steps = min(n - 1, math.ceil(40.0 / -math.log(rho)))
-    z = (tip - phi_plus) / (tip - phi_minus) * rho ** np.arange(steps + 1)
-    head = (phi_plus - z * phi_minus) / (1.0 - z)
-    phi = np.zeros(n + 1)
-    phi[n - 1 - steps : n] = head[::-1]
-    phi[: n - 1 - steps] = head[-1]
-    return phi
-
-
 def _solve_optimality_conditions(
     problem: FinProblem, length: float, n_cells: int
-) -> tuple[np.ndarray, float, int]:
-    """Stationary discrete profile; returns (values, slope, support).
+) -> tuple[np.ndarray, float, int, float]:
+    """Stationary discrete profile; returns (values, slope, support, root).
 
-    With faces 0..m-1 active and the rest at the floor t_f, the optimality
-    conditions give theta_i = g (r - x_i) on nodes 0..m.  The floored tail
-    takes the flux phi theta_m, and the heat balance of the nodes past each
-    active face gives k t_i g = sum_{j=i+1..m} 2 h w_j theta_j + phi theta_m,
-    so t does not depend on g.  The area budget fixes r and a unit root
-    flux fixes g, returned as slope.  The support m is the largest whose
-    every active face is above the floor; it is picked from all n
-    candidates at once, so no candidate past it is feasible.
+    With faces 0..m-1 active and the rest at zero, the optimality conditions
+    give theta_i = g (r - x_i) on nodes 0..m and theta = 0 past them.  The
+    heat balance of the nodes past each active face gives
+    k t_i g = sum_{j=i+1..m} c_j theta_j, c_j = 2 h w_j, so t does not
+    depend on g, and the area budget fixes the root of theta,
+
+        r_m = (k area / dx + sum_{j=1..m} j c_j x_j) / sum_{j=1..m} j c_j.
+
+    A unit root flux fixes g, returned as slope.  Every active face is
+    positive when r_m > x_m, and the support m is the largest such m; it is
+    picked from all n candidates at once, so no candidate past it is
+    feasible.  m = 1 always is, since r_1 > x_1 for any area > 0.
+
+    Three exact laws of the result are the tests' oracles.  At the
+    closed-form length L* = (3 k area / h)^(1/3) on n cells, the support is
+    all n faces, the compliance is C* (3n^2 + 1) / (3n^2 + 2) and the Biot
+    number 3n^2 / (3n^2 + 2).  On the long fin of optimize_length, whose
+    support has j = n // 3 faces, r / L* - 1 = 1 / (12 j (j + 1)).
     """
     mesh = Mesh(n_cells, length)
     n, dx, x = mesh.n_cells, mesh.dx, mesh.nodes
     k = problem.k
-    floor = thickness_floor(problem, length)
     convection = 2.0 * problem.h * mesh.node_weights
-    phi = _tail_flux(k * floor / dx, convection)
 
-    # For every support m = 1..n: each k t_i is linear in r, and their sum,
-    # by prefix sums in m, meets the area left to the active faces at one
-    # r; then t_{m-1} = (2 h w_m + phi_m)(r - x_m) / k is the thinnest face.
-    # The n-long arrays are updated in place: each fresh one costs a page-in.
-    m = np.arange(1.0, n + 1.0)
-    c, ph, xs = convection[1:], phi[1:], x[1:]
-    weight = m * c
-    denominator = np.cumsum(weight)
-    weight *= xs
-    tail = m * ph
-    denominator += tail
-    tail *= xs
-    roots = k * (problem.area / dx - (n - m) * floor)
-    roots += np.cumsum(weight, out=weight)
-    roots += tail
+    # For every support m = 1..n at once, by prefix sums in m.  The n-long
+    # arrays are updated in place: each fresh one costs a page-in.
+    xs = x[1:]
+    denominator = np.arange(1.0, n + 1.0)
+    denominator *= convection[1:]
+    roots = denominator * xs
+    np.cumsum(denominator, out=denominator)
+    np.cumsum(roots, out=roots)
+    roots += k * problem.area / dx
     roots /= denominator
-    thinnest = roots - xs
-    thinnest *= c + ph
-    feasible = np.flatnonzero(thinnest > k * floor)
-    if feasible.size == 0:
-        raise OptimizationError(
-            "the area budget does not lift even the root face above the "
-            "thickness floor"
-        )
-    support = int(feasible[-1]) + 1
+    support = int(np.flatnonzero(roots > xs)[-1]) + 1
     r = float(roots[support - 1])
 
     # A reversed cumulative sum of positive terms: nothing cancels near the tip.
     shed = r - x[1 : support + 1]
     shed *= convection[1 : support + 1]
-    values = np.full(n, floor)
+    values = np.zeros(n)
     active = np.cumsum(shed[::-1])[::-1]
-    active += phi[support] * (r - x[support])
     active /= k
     values[:support] = active
     slope = 1.0 / (convection[0] * r + k * values[0])
-    return values, slope, support
+    return values, slope, support, r
 
 
 def _certify(
@@ -314,7 +282,7 @@ def _certify(
     )
     if not certificate.floored_density_ratio <= 1.0 + DENSITY_SLACK:
         raise OptimizationError(
-            f"a floored face has gradient density "
+            f"a zero face past the support has gradient density "
             f"{certificate.floored_density_ratio:.17g} lambda; the support "
             f"of {support} faces is not optimal"
         )
@@ -323,20 +291,22 @@ def _certify(
 
 def _optimize_direct(
     problem: FinProblem, length: float, n_cells: int
-) -> tuple[ThicknessProfile, TemperatureField, float, OptimalityCertificate]:
-    """Optimal profile, its solve at the load q0, slope and certificate.
+) -> tuple[ThicknessProfile, TemperatureField, float, float, OptimalityCertificate]:
+    """Optimal profile, its solve at the load q0, slope, root and certificate.
 
     One kernel solve.  slope is |dtheta/dx| on the support per unit root
-    flux; the solve's is q0 times it.
+    flux; the solve's is q0 times it.  root is where theta falls to zero.
     """
     if problem.q0 <= 0.0:
         raise DomainError("shape optimization needs a positive root heat input")
-    values, slope, support = _solve_optimality_conditions(problem, length, n_cells)
+    values, slope, support, root = _solve_optimality_conditions(
+        problem, length, n_cells
+    )
     values.flags.writeable = False  # the profile keeps it without a copy
     profile = ThicknessProfile(Mesh(n_cells, length), values)
     theta = solve_temperature(problem, profile)
     certificate = _certify(problem, profile, theta, problem.q0 * slope, support)
-    return profile, theta, slope, certificate
+    return profile, theta, slope, root, certificate
 
 
 def optimize_profile(
@@ -351,7 +321,7 @@ def optimize_profile(
     is scaled by q0^2.  Three kernel solves: the constant start, the
     result and its adjoint.
     """
-    profile, theta, slope, certificate = _optimize_direct(
+    profile, theta, slope, _root, certificate = _optimize_direct(
         problem, length, options.n_cells
     )
     start = feasible_constant_profile(profile.mesh, problem.area)
@@ -449,13 +419,13 @@ def _optimize_profile_oc(
     """OC iteration to the stationary profile: the test oracle.
 
     Each step scales every face by (density / lambda)^eta, clipped to a
-    relative move limit and floored, with lambda solved exactly from the
-    area budget.  It stops when no face changes by more than tol, or after
+    relative move limit and floored at OC_FLOOR_RATIO (h/k) L^2, with
+    lambda solved exactly from the area budget.  It stops when no face changes by more than tol, or after
     max_iters steps.  Returns (profile, lagrange_multiplier, history); the
     run converged when history[-1].max_change <= tol.
     """
     mesh = Mesh(n_cells, length)
-    floor = thickness_floor(problem, length)
+    floor = OC_FLOOR_RATIO * (problem.h / problem.k) * length * length
     target_area = problem.area
     unit_problem = replace(problem, q0=1.0)
     load_scale = problem.q0 * problem.q0
@@ -532,38 +502,14 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, y_mean - slope * x_mean
 
 
-def _support_length(profile: ThicknessProfile, floor: float) -> float:
-    """Root of a straight line fitted to sqrt(t) before the first floored face."""
-    faces = profile.mesh.faces
-    floored = np.flatnonzero(profile.values <= floor)
-    if floored.size == 0:
-        raise OptimizationError(
-            "the long fin has no face at the thickness floor, so its support "
-            "does not end inside it"
-        )
-    edge = faces[floored[0]]
-    lo, hi = SUPPORT_FIT_WINDOW
-    window = (faces >= lo * edge) & (faces <= hi * edge)
-    if np.count_nonzero(window) < 2:
-        raise OptimizationError(
-            f"only {np.count_nonzero(window)} face(s) inside the support fit "
-            f"window; the mesh is too coarse to locate the support"
-        )
-    slope, intercept = _fit_line(faces[window], np.sqrt(profile.values[window]))
-    if not slope < 0.0:
-        raise OptimizationError(
-            f"sqrt(t) does not fall toward the tip (fitted slope {slope:g})"
-        )
-    return -intercept / slope
-
-
 def _long_fin_length(problem: FinProblem, n_cells: int) -> float:
     """About LONG_FIN_FACTOR closed-form lengths, with that length mid-cell.
 
     The OC oracle stalls for hundreds of iterations when a node lies within
     a few percent of a cell of the support edge; midway between two nodes
     it converges as fast as anywhere, so the oracle tests can reach the
-    long fin's optimum.
+    long fin's optimum.  The length law of _solve_optimality_conditions is
+    for this placement.
     """
     edge_cells = n_cells // LONG_FIN_FACTOR + 0.5
     return analytic.optimal_length(problem) * n_cells / edge_cells
@@ -575,16 +521,16 @@ def optimize_length(
     """Optimize the fin length and profile; four kernel solves.
 
     A fin about LONG_FIN_FACTOR times the closed-form optimal length gets
-    its optimal profile and one certifying solve; the support of that
-    profile is the optimal length.  optimize_profile at that length is the
-    result, which keeps the long fin in long_fin.
+    its optimal profile and one certifying solve; the root of its linear
+    temperature, where the optimal fin ends, is the optimal length.
+    optimize_profile at that length is the result, which keeps the long fin
+    in long_fin.
     """
     length = _long_fin_length(problem, options.n_cells)
-    profile, _theta, _slope, certificate = _optimize_direct(
+    profile, _theta, _slope, root, certificate = _optimize_direct(
         problem, length, options.n_cells
     )
-    floor = thickness_floor(problem, length)
-    result = optimize_profile(problem, _support_length(profile, floor), options)
+    result = optimize_profile(problem, root, options)
     return replace(result, long_fin=LongFin(length, profile, certificate))
 
 
@@ -598,8 +544,8 @@ def evaluate_profile_optimality(
     theta, if given, must be solve_temperature(problem, profile); it saves
     that solve, and only the adjoint is solved.  Faces in the tip exclusion
     zone are left out of the gradient-constancy and thickness-slope
-    metrics; the thickness floor regularizes that neighborhood, so the
-    pointwise conditions cannot hold there.
+    metrics (see TIP_EXCLUSION): a sampled taper is least resolved there,
+    and zero faces past a support do not meet the pointwise conditions.
     """
     mesh = profile.mesh
     if theta is None:

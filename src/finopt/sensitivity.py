@@ -15,8 +15,8 @@ so the gradient is diagonal in the face index:
 
 nonpositive for any admissible profile (more material never hurts).  At
 the optimum the density k (dtheta/dx)^2 is the same constant on every face
-away from the regularized tip; that constant is the area constraint's
-multiplier, reported here as lagrange_shift.
+of the support; that constant is the area constraint's multiplier,
+reported here as lagrange_shift.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
-from .solver import _solve_root_load, compliance, solve_temperature, thickness_floor
+from .solver import _solve_root_load, compliance, solve_temperature
 
 __all__ = [
     "SensitivityField",
@@ -38,9 +38,10 @@ __all__ = [
     "solve_adjoint",
 ]
 
-#: Fraction of the length next to the tip excluded from optimality metrics;
-#: the thickness floor regularizes that neighborhood, so pointwise
-#: optimality conditions are not meaningful there.
+#: Fraction of the length next to the tip excluded from optimality metrics:
+#: the thickness vanishes toward the tip, so a sampled taper is least
+#: resolved there, and a fin longer than its support has zero faces there,
+#: on which the pointwise conditions do not hold.
 TIP_EXCLUSION = 0.1
 
 
@@ -108,18 +109,16 @@ def finite_difference_gradient(
     """Central-difference check value for one face of the gradient.
 
     Symmetric in the sign of step by construction.  Both perturbed
-    profiles must stay at or above the thickness floor.
+    profiles must keep the face nonnegative.
     """
     mesh = profile.mesh
     if not -mesh.n_cells <= face_index < mesh.n_cells:
         raise DomainError(f"face index {face_index} out of range")
     if not (np.isfinite(step) and step != 0.0):
         raise DomainError(f"step must be a nonzero finite number, got {step}")
-    floor = thickness_floor(problem, mesh.length)
-    if profile.values[face_index] - abs(step) < floor:
+    if profile.values[face_index] - abs(step) < 0.0:
         raise DomainError(
-            "perturbed profile would drop below the thickness floor; "
-            "use a smaller step"
+            "perturbed profile would have a negative face; use a smaller step"
         )
 
     plus = np.array(profile.values)

@@ -5,7 +5,8 @@ nodes i and i+1 is k * t_face / dx, convection 2h is lumped over each
 node's control volume (trapezoid weights, half cells at the ends), the
 root carries the prescribed heat input q0 and the tip is insulated.  The
 result is a symmetric positive definite tridiagonal system solved directly
-by the tridiagonal kernel.
+by the tridiagonal kernel.  A zero face thickness is admitted: it cuts the
+link, and the nodes it cuts off from the root stay at theta = 0.
 
 Summing the discrete equations telescopes the conductive fluxes away, so
 q0 = 2h * sum(theta_i * w_i) holds as a discrete identity; the energy
@@ -37,16 +38,17 @@ __all__ = [
     "variational_compliance",
 ]
 
-#: Relative thickness floor, in units of (h/k) L^2 (the natural root
-#: thickness scale): keeps pinched tips from making the system singular.
-FLOOR_RATIO = 1e-6
-
 
 def thickness_floor(problem: FinProblem, length: float) -> float:
-    """Minimum face thickness admitted by the discrete system."""
+    """Minimum face thickness admitted by the discrete system: 0.
+
+    A zero face zeroes one link conductance and leaves every row sum at the
+    convection 2h * w_i > 0, so the system stays positive definite and the
+    nodes past the face get no heat.
+    """
     if not length > 0.0:
         raise DomainError(f"length must be positive, got {length}")
-    return FLOOR_RATIO * (problem.h / problem.k) * length * length
+    return 0.0
 
 
 def assemble_fin_system(
@@ -73,17 +75,10 @@ def _solve_root_load(
     """Solve the fin system with root_load on the root node and no other load.
 
     The one checked solve of the package: the temperature passes the heat
-    input q0, the adjoint its own dC/dtheta_0.  Raises SolverError if any
-    face is below the thickness floor or the direct solve fails; never
-    returns NaNs.
+    input q0, the adjoint its own dC/dtheta_0.  Raises SolverError if the
+    direct solve fails; never returns NaNs.
     """
     mesh = profile.mesh
-    floor = thickness_floor(problem, mesh.length)
-    if float(np.min(profile.values)) < floor:
-        raise SolverError(
-            f"profile has faces below the thickness floor {floor:g}; "
-            "clip it before solving"
-        )
     convection, off, load = assemble_fin_system(problem, profile)
     load[0] = root_load
     try:
@@ -99,8 +94,8 @@ def _solve_root_load(
 def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
     """Solve for the excess temperature on the profile's mesh.
 
-    Raises SolverError if any face is below the thickness floor or the
-    direct solve fails; never returns NaNs.
+    Faces may be zero: the nodes past a zero face get theta = 0.  Raises
+    SolverError if the direct solve fails; never returns NaNs.
     """
     return _solve_root_load(problem, profile, problem.q0)
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from finopt import FinProblem, optimal_length, thickness_floor
+from finopt import FinProblem, optimal_length
 from finopt.mesh import Mesh, ThicknessProfile
 
 # Baseline configuration every module is exercised with:
@@ -72,15 +72,12 @@ def cosh_theta(problem, thickness, length, x):
 
 
 def optimal_profile(problem, n_cells, length=None):
-    """Closed-form quadratic taper sampled at the faces, floored at the tip."""
+    """Closed-form quadratic taper sampled at the faces."""
     if length is None:
         length = optimal_length(problem)
     mesh = Mesh(n_cells, length)
-    floor = thickness_floor(problem, length)
     ratio = problem.h / problem.k
-    return ThicknessProfile.from_callable(
-        mesh, lambda x: ratio * (length - x) ** 2, floor=floor
-    )
+    return ThicknessProfile.from_callable(mesh, lambda x: ratio * (length - x) ** 2)
 
 
 def rectangular_profile(problem, n_cells, length=None, thickness=None):
@@ -92,19 +89,16 @@ def rectangular_profile(problem, n_cells, length=None, thickness=None):
 
 
 def triangular_profile(problem, n_cells, length=None):
-    """Linear taper with the same area budget, floored at the tip."""
+    """Linear taper with the same area budget, sampled at the faces."""
     if length is None:
         length = optimal_length(problem)
     mesh = Mesh(n_cells, length)
-    floor = thickness_floor(problem, length)
     root = 2.0 * problem.area / length
-    return ThicknessProfile.from_callable(
-        mesh, lambda x: root * (1.0 - x / length), floor=floor
-    )
+    return ThicknessProfile.from_callable(mesh, lambda x: root * (1.0 - x / length))
 
 
 def random_feasible_profile(problem, n_cells, seed, length=None):
-    """Random positive profile comfortably above the thickness floor."""
+    """Random positive profile between 0.2 and 1.8 times A/L."""
     if length is None:
         length = optimal_length(problem)
     mesh = Mesh(n_cells, length)

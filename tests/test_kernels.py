@@ -12,7 +12,6 @@ from finopt import (
     kernels,
     optimize_profile,
     solve_temperature,
-    thickness_floor,
 )
 from finopt._kernels_py import solve_thomas
 from finopt.mesh import Mesh, ThicknessProfile
@@ -219,7 +218,7 @@ _long_fins = {}
 
 
 def long_fin_profile(name, n):
-    """Optimised long-fin profile with its floored tail.
+    """Optimised long-fin profile with its tail of zero faces.
 
     1000 and 20000 cells are optimised directly; 1e5 cells samples the
     20000-cell optimum, which costs one optimisation less than optimising
@@ -236,9 +235,8 @@ def long_fin_profile(name, n):
     if n == n_opt:
         return profile
     mesh = Mesh(n, profile.mesh.length)
-    values = np.interp(mesh.faces, profile.mesh.faces, profile.values)
     return ThicknessProfile(
-        mesh, np.maximum(values, thickness_floor(problem, mesh.length))
+        mesh, np.interp(mesh.faces, profile.mesh.faces, profile.values)
     )
 
 
@@ -254,7 +252,7 @@ def test_fin_root_error_against_long_double(name, kind, n):
         profile = optimal_profile(problem, n)
     else:
         profile = long_fin_profile(name, n)
-        assert np.any(profile.values <= thickness_floor(problem, profile.mesh.length))
+        assert np.any(profile.values == 0.0)
     rowsum, off, rhs = assemble_fin_system(problem, profile)
     root = float(thomas_longdouble(rowsum, off, rhs)[0])
     reduction = kernels.solve_spd_tridiagonal(rowsum, off, rhs)[0]

@@ -16,7 +16,6 @@ from finopt import (
     optimal_length,
     solve_adjoint,
     solve_temperature,
-    thickness_floor,
 )
 from finopt.sensitivity import TIP_EXCLUSION, interior_face_mask
 from finopt.mesh import Mesh, ThicknessProfile
@@ -66,7 +65,6 @@ class TestSelfAdjointness:
         length = factor * optimal_length(problem)
         rng = np.random.default_rng(seed)
         values = (problem.area / length) * 10.0 ** rng.uniform(-3.0, 0.0, n_cells)
-        values = np.maximum(values, thickness_floor(problem, length))
         profile = ThicknessProfile(Mesh(n_cells, length), values)
         w = solve_adjoint(problem, profile)
         assert np.array_equal(w.values, solve_temperature(problem, profile).values)
@@ -102,6 +100,30 @@ class TestGradientStructure:
         inside = interior_face_mask(profile.mesh)
         d = grad.density[inside]
         assert np.std(d) / np.mean(d) <= 1e-3
+
+    @pytest.mark.parametrize("zero_from", [0, 30])
+    def test_zero_faces_have_a_finite_gradient(self, base_problem, zero_from):
+        # Faces zero_from.. carry no heat.  The first of them still has the
+        # one-sided gradient -k (theta / dx)^2 dx of its hot side; past it
+        # both sides sit at theta = 0 and the gradient vanishes.
+        values = np.full(50, 1e-3)
+        values[zero_from:] = 0.0
+        profile = ThicknessProfile(Mesh(50, 0.1), values)
+        grad = gradient_of(base_problem, profile)
+        assert np.all(np.isfinite(grad.values)) and np.all(grad.values <= 0.0)
+        theta = solve_temperature(base_problem, profile).values
+        dx = profile.mesh.dx
+        edge = -base_problem.k * (theta[zero_from] / dx) ** 2 * dx
+        assert grad.values[zero_from] == pytest.approx(edge, rel=1e-14)
+        assert np.all(grad.values[zero_from + 1 :] == 0.0)
+        if zero_from > 0:
+            face = zero_from - 1
+            fd = finite_difference_gradient(
+                base_problem, profile, face, 1e-4 * values[face]
+            )
+            assert fd == pytest.approx(grad.values[face], rel=1e-6)
+        with pytest.raises(DomainError, match="negative face"):
+            finite_difference_gradient(base_problem, profile, zero_from, 1e-9)
 
     def test_mismatched_meshes_rejected(self, base_problem):
         profile = rectangular_profile(base_problem, 100)

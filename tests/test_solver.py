@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from finopt import (
     DomainError,
     FinProblem,
-    SolverError,
     assemble_fin_system,
     compliance,
     energy_balance_residual,
@@ -180,12 +179,11 @@ class TestComplianceEvaluations:
     @settings(max_examples=40, deadline=None)
     def test_pairwise_sum_meets_exact_sum(self, n_cells, log_spread, factor, seed):
         # Random admissible profiles: thickness log-uniform over up to six
-        # decades below A/L, never under the floor.
+        # decades below A/L.
         problem = FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0)
         length = factor * optimal_length(problem)
         rng = np.random.default_rng(seed)
         values = (problem.area / length) * 10.0 ** rng.uniform(-log_spread, 0.0, n_cells)
-        values = np.maximum(values, thickness_floor(problem, length))
         profile = ThicknessProfile(Mesh(n_cells, length), values)
         theta = solve_temperature(problem, profile)
         exact = _exactly_summed_variational_compliance(problem, profile, theta)
@@ -211,17 +209,40 @@ class TestComplianceEvaluations:
 
 class TestFloorAndFailure:
     def test_floor_value(self, base_problem):
-        L = optimal_length(base_problem)
-        t0 = (base_problem.h / base_problem.k) * L * L
-        assert thickness_floor(base_problem, L) == pytest.approx(1e-6 * t0, rel=1e-15)
+        assert thickness_floor(base_problem, optimal_length(base_problem)) == 0.0
 
-    def test_below_floor_profile_rejected(self, base_problem):
+    def test_zero_root_face_isolates_the_root_node(self, base_problem):
+        # The root node keeps its half cell of convection, h dx, and sheds
+        # all of q0 there; nothing reaches the nodes past the zero face.
         mesh = Mesh(50, 0.1)
-        floor = thickness_floor(base_problem, 0.1)
         values = np.full(50, 1e-3)
-        values[30] = 0.5 * floor
-        with pytest.raises(SolverError):
-            solve_temperature(base_problem, ThicknessProfile(mesh, values))
+        values[0] = 0.0
+        profile = ThicknessProfile(mesh, values)
+        theta = solve_temperature(base_problem, profile)
+        expected = base_problem.q0 / (base_problem.h * mesh.dx)
+        assert theta.root_value == pytest.approx(expected, rel=1e-15)
+        assert np.all(theta.values[1:] == 0.0)
+        assert energy_balance_residual(base_problem, theta, profile) <= 1e-15
+
+    @pytest.mark.parametrize("zero_from", [30, 49])
+    def test_zero_faces_cut_off_the_tip(self, base_problem, zero_from):
+        # Faces zero_from.. are zero: every node past face zero_from - 1
+        # stays at theta = 0, and the rest matches a dense solve.
+        mesh = Mesh(50, 0.1)
+        values = np.full(50, 1e-3)
+        values[zero_from:] = 0.0
+        profile = ThicknessProfile(mesh, values)
+        theta = solve_temperature(base_problem, profile)
+        assert np.all(theta.values[zero_from + 1 :] == 0.0)
+        assert np.all(theta.values[: zero_from + 1] > 0.0)
+        rowsum, off, rhs = assemble_fin_system(base_problem, profile)
+        matrix = np.diag(rowsum) + np.diag(off, 1) + np.diag(off, -1)
+        matrix[np.arange(1, 51), np.arange(1, 51)] -= off
+        matrix[np.arange(50), np.arange(50)] -= off
+        np.testing.assert_allclose(
+            theta.values, np.linalg.solve(matrix, rhs), rtol=1e-12, atol=0.0
+        )
+        assert energy_balance_residual(base_problem, theta, profile) <= 1e-10
 
     def test_floor_requires_positive_length(self, base_problem):
         with pytest.raises(DomainError):
