@@ -6,12 +6,12 @@ k (dtheta/dx)^2 equal to the area multiplier lambda on every face of the
 support, so the temperature falls linearly over it, theta = g (r - x), and
 a flux balance then gives each active face's thickness in closed form.  The
 faces past the support have zero thickness, and the nodes past it get
-theta = 0.  The only unknown is the number of active faces, the largest
-whose every face is positive: one O(n) pass of whole-array operations, with
-no iteration and no Python loop over cells.  One solve of the result at the
-real load q0 measures the certificate (density spread on the support,
-largest density over lambda past it, area error); a failed certificate
-raises OptimizationError.
+theta = 0.  The number of active faces, the largest whose every face is
+positive, follows from one integer inequality, so the profile takes one
+fill of the n-long array, with no iteration and no search.  One solve of
+the result at the real load q0 measures the certificate (density spread
+on the support, largest density over lambda past it, area error); a
+failed certificate raises OptimizationError.
 
 Solves per call.  optimize_profile makes three: the constant start, whose
 compliance is the first history row; the result, whose temperature serves
@@ -171,7 +171,7 @@ class OptimizationReport:
     """Outcome of an optimization run.
 
     history has two rows, the feasible constant start and the result, and
-    inner_iterations is 1: the profile comes from one pass.  temperature is
+    inner_iterations is 1: the profile comes in closed form.  temperature is
     the result's solve at the load q0; it gives the compliance, the
     certificate and the optimality metrics.  A length run keeps its long
     fin in long_fin.  A fixed-length run makes three kernel solves (start,
@@ -209,48 +209,58 @@ def _solve_optimality_conditions(
     give theta_i = g (r - x_i) on nodes 0..m and theta = 0 past them.  The
     heat balance of the nodes past each active face gives
     k t_i g = sum_{j=i+1..m} c_j theta_j, c_j = 2 h w_j, so t does not
-    depend on g, and the area budget fixes the root of theta,
+    depend on g.  On the mesh's trapezoid weights (w_j = dx, half at the
+    tip node n) these sums are polynomials in m.  Put c = (L*/dx)^3 =
+    3 k area / (h dx^3), with L* = (3 k area / h)^(1/3) the closed-form
+    length, e = 1 if m = n and 0 otherwise (the tip node's half weight),
+    and r = (m + d) dx.  With s = m - i faces from face i to the edge,
 
-        r_m = (k area / dx + sum_{j=1..m} j c_j x_j) / sum_{j=1..m} j c_j.
+        t_i = (h dx^2 / k) (s (s - 1) + d (2 s - e)),
 
-    A unit root flux fixes g, returned as slope.  Every active face is
-    positive when r_m > x_m, and the support m is the largest such m; it is
-    picked from all n candidates at once, so no candidate past it is
-    feasible.  m = 1 always is, since r_1 > x_1 for any area > 0.
+    a sum of nonnegative terms, and the area budget sum(t) dx = area gives
 
-    Three exact laws of the result are the tests' oracles.  At the
-    closed-form length L* = (3 k area / h)^(1/3) on n cells, the support is
-    all n faces, the compliance is C* (3n^2 + 1) / (3n^2 + 2) and the Biot
-    number 3n^2 / (3n^2 + 2).  On the long fin of optimize_length, whose
-    support has j = n // 3 faces, r / L* - 1 = 1 / (12 j (j + 1)).
+        d = (c - (m - 1) m (m + 1)) / (3 m (m + 1 - e)).
+
+    Every active face is positive when d > 0, that is
+    (m - 1) m (m + 1) < c, and the support is the largest such m <= n;
+    m = 1 always qualifies.  A unit root flux, g (h dx r + k t_0) = 1,
+    fixes g, returned as slope.
+
+    The three exact laws of the tests follow.  At L* on n cells c = n^3,
+    so m = n, d = 1 / (3n), r = L (3n^2 + 1) / (3n^2) and
+    g = 3n^2 / (h L^2 (3n^2 + 2)).  The compliance q0^2 g r is then
+    C* (3n^2 + 1) / (3n^2 + 2), with C* = q0^2 / (h L*), and the Biot
+    number 2 h L C / q0^2 - 1 is 3n^2 / (3n^2 + 2).  The long fin of
+    optimize_length puts L* at (j + 1/2) dx, j = n // 3, so
+    c = (j + 1/2)^3, m = j, d = 1/2 + (j + 1/2) / (12 j (j + 1)) and
+    r / L* - 1 = 1 / (12 j (j + 1)).
+
+    The closed form assumes the mesh's trapezoid node weights; the
+    certificate's kernel solve checks the result against the assembled
+    operator on every call.
     """
     mesh = Mesh(n_cells, length)
-    n, dx, x = mesh.n_cells, mesh.dx, mesh.nodes
-    k = problem.k
-    convection = 2.0 * problem.h * mesh.node_weights
-
-    # For every support m = 1..n at once, by prefix sums in m.  The n-long
-    # arrays are updated in place: each fresh one costs a page-in.
-    xs = x[1:]
-    denominator = np.arange(1.0, n + 1.0)
-    denominator *= convection[1:]
-    roots = denominator * xs
-    np.cumsum(denominator, out=denominator)
-    np.cumsum(roots, out=roots)
-    roots += k * problem.area / dx
-    roots /= denominator
-    support = int(np.flatnonzero(roots > xs)[-1]) + 1
-    r = float(roots[support - 1])
-
-    # A reversed cumulative sum of positive terms: nothing cancels near the tip.
-    shed = r - x[1 : support + 1]
-    shed *= convection[1 : support + 1]
+    n, dx, h, k = mesh.n_cells, mesh.dx, problem.h, problem.k
+    cells = n / length
+    c = 3.0 * k * problem.area / h * cells * cells * cells
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"length {length} is out of range for this problem")
+    # c^(1/3) + 1 is at least the largest m; the loop steps down to it.
+    m = min(n, int(c ** (1.0 / 3.0)) + 1)
+    while m > 1 and (m - 1) * m * (m + 1) >= c:
+        m -= 1
+    tip = 1.0 if m == n else 0.0
+    d = (c - (m - 1) * m * (m + 1)) / (3 * m * (m + 1 - tip))
+    r = (m + d) * dx
+    # Filled in place: each fresh support-long temporary costs a page-in.
+    s = np.arange(m, 0.0, -1.0)
     values = np.zeros(n)
-    active = np.cumsum(shed[::-1])[::-1]
-    active /= k
-    values[:support] = active
-    slope = 1.0 / (convection[0] * r + k * values[0])
-    return values, slope, support, r
+    active = values[:m]
+    np.multiply(s, s - 1.0, out=active)
+    active += d * (2.0 * s - tip)
+    active *= h * dx * dx / k
+    slope = 1.0 / (h * dx * r + k * values[0])
+    return values, slope, m, r
 
 
 def _certify(
@@ -265,8 +275,7 @@ def _certify(
     slope is the |dtheta/dx| the conditions set on the support, at the
     load theta was solved with.
     """
-    area_error = abs(_face_integral(profile.values, profile.mesh.dx) - problem.area)
-    area_error /= problem.area
+    area_error = abs(profile.area - problem.area) / problem.area
     if area_error > AREA_TOL:
         raise OptimizationError(
             f"the solved profile leaves the area budget unmet "
@@ -546,6 +555,8 @@ def evaluate_profile_optimality(
     zone are left out of the gradient-constancy and thickness-slope
     metrics (see TIP_EXCLUSION): a sampled taper is least resolved there,
     and zero faces past a support do not meet the pointwise conditions.
+    The gradient metrics also leave out zero faces anywhere, so they
+    measure only faces that carry heat.
     """
     mesh = profile.mesh
     if theta is None:
@@ -560,9 +571,9 @@ def evaluate_profile_optimality(
 
     dx = mesh.dx
     slopes = np.diff(theta.values) / dx
-    inside = interior_face_mask(mesh)
+    inside = interior_face_mask(mesh) & (profile.values > 0.0)
     picked = slopes[inside]
-    mean_slope = float(np.mean(picked))
+    mean_slope = float(np.mean(picked)) if picked.size else 0.0
     if mean_slope == 0.0:
         grad_cv = math.inf
     else:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
-from .solver import _solve_root_load, compliance, solve_temperature
+from .solver import compliance, solve_temperature
 
 __all__ = [
     "SensitivityField",
@@ -53,10 +53,10 @@ def interior_face_mask(mesh: Mesh) -> np.ndarray:
 def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
     """Solve the adjoint system for the compliance objective.
 
-    The primal's checked solve with the adjoint's own load dC/dtheta_0 = q0
-    for C = q0 * theta_0.
+    The adjoint's load dC/dtheta_0 = q0 for C = q0 * theta_0 is the heat
+    input, and A^T = A, so this is the primal's checked solve.
     """
-    return _solve_root_load(problem, profile, problem.q0)
+    return solve_temperature(problem, profile)
 
 
 @dataclass(frozen=True, eq=False)

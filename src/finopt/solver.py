@@ -69,35 +69,21 @@ def assemble_fin_system(
     return convection, off, rhs
 
 
-def _solve_root_load(
-    problem: FinProblem, profile: ThicknessProfile, root_load: float
-) -> TemperatureField:
-    """Solve the fin system with root_load on the root node and no other load.
+def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
+    """Solve for the excess temperature on the profile's mesh.
 
-    The one checked solve of the package: the temperature passes the heat
-    input q0, the adjoint its own dC/dtheta_0.  Raises SolverError if the
-    direct solve fails; never returns NaNs.
+    The one checked solve of the package; the adjoint runs it too.  Faces
+    may be zero: the nodes past a zero face get theta = 0.  Raises
+    SolverError if the direct solve fails; never returns NaNs.
     """
-    mesh = profile.mesh
-    convection, off, load = assemble_fin_system(problem, profile)
-    load[0] = root_load
     try:
-        theta = kernels.solve_spd_tridiagonal(convection, off, load)
+        theta = kernels.solve_spd_tridiagonal(*assemble_fin_system(problem, profile))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise SolverError("direct solve produced non-finite values")
     theta.flags.writeable = False  # the field keeps it without a copy
-    return TemperatureField(mesh, theta)
-
-
-def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
-    """Solve for the excess temperature on the profile's mesh.
-
-    Faces may be zero: the nodes past a zero face get theta = 0.  Raises
-    SolverError if the direct solve fails; never returns NaNs.
-    """
-    return _solve_root_load(problem, profile, problem.q0)
+    return TemperatureField(profile.mesh, theta)
 
 
 def compliance(problem: FinProblem, field: TemperatureField) -> float:

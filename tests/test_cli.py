@@ -254,21 +254,37 @@ class TestOptimize:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_four_cells_fail_only_the_gradient_check(self, tmp_path, capsys):
-        # The length law gives L/L* - 1 = 1/24 on four cells.  The run
-        # completes; its zero fourth face lies inside the gradient metric's
-        # window, so only that threshold fails, and nothing is an error.
+    @pytest.mark.parametrize("length", ["0", "-1", "nan", "inf", "1e300", "1e-300"])
+    def test_unusable_fixed_length_exits_2(self, tmp_path, capsys, length):
         code = main(
-            ["optimize", *BASE, "--h", "20", "--n-cells", "4",
-             "--out-dir", str(tmp_path)]
+            ["optimize", *BASE, "--h", "20", f"--fixed-length={length}",
+             "--n-cells", "50", "--out-dir", str(tmp_path)]
         )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
-        assert len(failed) == 1 and failed[0].startswith("FAIL grad_temp_cv")
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["length"] / ORACLE_H20["L"] - 1.0 == pytest.approx(1 / 24, rel=1e-9)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_four_and_five_cells_pass_every_check(self, tmp_path, capsys):
+        # The long fin's support is one face, so the length law gives
+        # L/L* - 1 = 1/24.  The result's last face is zero; the gradient
+        # metric measures only faces that carry heat, so every check passes.
+        low_conductivity = finopt.FinProblem(k=3.7, h=812.0, area=2.3e-6, q0=0.31)
+        fins = [
+            ([*BASE, "--h", "20"], ORACLE_H20["L"]),
+            (["--k", "3.7", "--h", "812", "--area", "2.3e-6", "--q0", "0.31"],
+             finopt.optimal_length(low_conductivity)),
+        ]
+        for index, (fin, closed_form) in enumerate(fins):
+            for n_cells in (4, 5):
+                out_dir = tmp_path / f"{index}-{n_cells}"
+                code = main(["optimize", *fin, "--n-cells", str(n_cells),
+                             "--out-dir", str(out_dir)])
+                assert code == 0, (fin, n_cells)
+                captured = capsys.readouterr()
+                assert captured.err == "" and "FAIL" not in captured.out
+                report = json.loads((out_dir / "report.json").read_text())
+                assert report["length"] / closed_form - 1.0 == pytest.approx(
+                    1 / 24, rel=1e-9
+                )
 
     @pytest.mark.parametrize("n_cells", [6, 7, 8])
     def test_low_conductivity_fin_on_few_cells_exits_0(self, tmp_path, n_cells):
