@@ -10,23 +10,24 @@ Odd-even cyclic reduction (Hockney, J. ACM 12, 1965) in whole-array numpy
 operations.  The odd rows of a tridiagonal system couple only to even
 rows, so one level eliminates all of them at once and leaves a tridiagonal
 system on the even rows, half the size.  Once at most THOMAS_ROWS rows
-remain, the Thomas loop of ``_kernels_py`` solves them, and the odd
-unknowns are recovered level by level on the way back.
+remain, a Thomas loop solves them, and the odd unknowns are recovered
+level by level on the way back.  The loop eliminates on the row sums too,
+as in the GTH algorithm for M-matrices (Grassmann, Taksar & Heyman, Oper.
+Res. 33, 1985): no diagonal is formed anywhere.
 
 Each level is Gaussian elimination on a symmetric permutation of the
 matrix, odd rows first, so the odd diagonals of every level and the pivots
 of the Thomas tail are the LDL^T pivots of that permutation: the matrix is
 positive definite exactly when all of them are positive.  A nonpositive or
-NaN pivot raises LinAlgError.  For the diagonally dominant systems of the
-fin model the reduction is stable (Heller, SIAM J. Numer. Anal. 13, 1976).
+NaN pivot raises LinAlgError naming its row of the matrix.  For the
+diagonally dominant systems of the fin model the reduction is stable
+(Heller, SIAM J. Numer. Anal. 13, 1976).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-
-from ._kernels_py import solve_thomas
 
 #: Largest system handed to the Thomas loop.  Below about this size one
 #: level's fixed cost of some twenty numpy calls exceeds the loop's time
@@ -113,16 +114,28 @@ def solve_spd_tridiagonal(
         e_next = np.multiply(a[:n_right], e_right, out=c)
         s, e, b = s_next, np.negative(e_next, out=e_next), b_next
 
-    d = s.copy()
-    d[:-1] -= e
-    d[1:] -= e
-    try:
-        x = solve_thomas(d, e, b)
-    except LinAlgError as exc:
-        raise LinAlgError(
-            f"{exc}; row j of the system left after {len(levels)} reduction "
-            f"levels is row j * {1 << len(levels)} of the matrix"
-        ) from None
+    # The Thomas tail on row sums: sigma is what row i sums to once the rows
+    # above it are eliminated and p = sigma - e_i its pivot.  With s > 0 and
+    # e < 0 both add positive terms.  The loop runs on Python floats, which
+    # is several times faster than indexing numpy arrays element by element.
+    s, e, x = s.tolist(), e.tolist() + [0.0], b.tolist()
+    pivots = []
+    w = sigma = x_prev = 0.0
+    for i, s_i in enumerate(s):
+        sigma = s_i - w * sigma
+        x_prev = x[i] = x[i] - w * x_prev
+        p = sigma - e[i]
+        if not p > 0.0:
+            raise LinAlgError(
+                "matrix is not positive definite (pivot %g at row %d)"
+                % (p, i << len(levels))
+            )
+        pivots.append(p)
+        w = e[i] / p
+    x[-1] /= pivots[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / pivots[i]
+    x = np.array(x)
 
     for d_odd, e_left, e_right, b_odd in reversed(levels):
         n_odd, n_right = d_odd.shape[0], e_right.shape[0]

@@ -13,12 +13,13 @@ the result at the real load q0 measures the certificate (density spread
 on the support, largest density over lambda past it, area error); a
 failed certificate raises OptimizationError.
 
-Solves per call.  optimize_profile makes three: the constant start, whose
-compliance is the first history row; the result, whose temperature serves
-the certificate, the compliance, the optimality metrics and the report's
-temperature field; and the adjoint of evaluate_profile_optimality, so the
-self-adjoint gap still compares two solves.  optimize_length makes four:
-the long fin's certifying solve, then one optimize_profile.
+Solves per call.  optimize_profile makes two: the result, whose
+temperature serves the certificate, the compliance q0 theta(0), the
+optimality metrics and the report's temperature field; and the adjoint of
+evaluate_profile_optimality, so the self-adjoint gap still compares two
+solves.  The constant start, the first history row, is a closed form.
+optimize_length makes three: the long fin's certifying solve, then one
+optimize_profile.
 
 The optimality-criteria (OC) iteration that reaches the same profile,
 rescaling every face by (density / lambda)^eta, is kept as the private
@@ -46,7 +47,7 @@ from .errors import DomainError, OptimizationError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
 from .sensitivity import TIP_EXCLUSION, interior_face_mask, solve_adjoint
-from .solver import solve_temperature, variational_compliance
+from .solver import compliance, solve_temperature, variational_compliance
 
 __all__ = [
     "InnerIteration",
@@ -69,8 +70,8 @@ AREA_TOL = 1e-10
 
 #: Slack of the certificate's condition on the zero faces past the support,
 #: max density there <= lambda (1 + DENSITY_SLACK).  The densities come from
-#: a solve whose rounding spreads them over the support by about 1e-10 at
-#: 1e5 cells.  A support one face short of the optimum shows a ratio of
+#: a solve whose rounding spreads them over the support by up to about 9e-11
+#: at 1e5 cells.  A support one face short of the optimum shows a ratio of
 #: about 1 + 0.67 / n at L*, where the last face is the thinnest (1 + 6.7e-6
 #: at 1e5 cells), and 2.25 on the long fin of optimize_length.
 DENSITY_SLACK = 1e-6
@@ -172,10 +173,11 @@ class OptimizationReport:
 
     history has two rows, the feasible constant start and the result, and
     inner_iterations is 1: the profile comes in closed form.  temperature is
-    the result's solve at the load q0; it gives the compliance, the
-    certificate and the optimality metrics.  A length run keeps its long
-    fin in long_fin.  A fixed-length run makes three kernel solves (start,
-    temperature, adjoint), a length run four (the long fin's one more).
+    the result's solve at the load q0; it gives the compliance q0 theta(0),
+    the certificate and the optimality metrics.  The start row's compliance
+    is the constant fin's closed form.  A length run keeps its long fin in
+    long_fin.  A fixed-length run makes two kernel solves (temperature,
+    adjoint), a length run three (the long fin's one more).
     """
 
     profile: ThicknessProfile
@@ -193,6 +195,23 @@ class OptimizationReport:
 def feasible_constant_profile(mesh: Mesh, area: float) -> ThicknessProfile:
     """Constant profile whose face integral equals the area budget."""
     return ThicknessProfile.constant(mesh, area / mesh.length)
+
+
+def _constant_fin_compliance(problem: FinProblem, mesh: Mesh) -> float:
+    """Compliance q0 theta(0) of feasible_constant_profile, in closed form.
+
+    With thickness t = area / L and link conductance a = k t / dx, the interior rows give
+    theta_{i-1} + theta_{i+1} = 2 cosh(mu) theta_i with
+    sinh(mu / 2) = sqrt(h dx^2 / (2 k t)).  The tip's half cell makes
+    theta_i proportional to cosh((n - i) mu), and the root's heat balance
+    gives theta_0 = q0 / (a sinh(mu) tanh(n mu)).
+    """
+    dx, thickness = mesh.dx, problem.area / mesh.length
+    half = math.sqrt(problem.h * dx * dx / (2.0 * problem.k * thickness))
+    sinh_mu = 2.0 * half * math.hypot(1.0, half)
+    n_mu = 2.0 * mesh.n_cells * math.asinh(half)
+    a = problem.k * thickness / dx
+    return problem.q0 * problem.q0 / (a * sinh_mu * math.tanh(n_mu))
 
 
 def _face_integral(values: np.ndarray, dx: float) -> float:
@@ -327,17 +346,14 @@ def optimize_profile(
 
     The profile does not depend on the load: it is built for a unit root
     flux, so it is bitwise identical for every q0 > 0, and the multiplier
-    is scaled by q0^2.  Three kernel solves: the constant start, the
-    result and its adjoint.
+    is scaled by q0^2.  Two kernel solves: the result and its adjoint.
     """
     profile, theta, slope, _root, certificate = _optimize_direct(
         problem, length, options.n_cells
     )
     start = feasible_constant_profile(profile.mesh, problem.area)
-    start_compliance = variational_compliance(
-        problem, start, solve_temperature(problem, start)
-    )
-    current = variational_compliance(problem, profile, theta)
+    start_compliance = _constant_fin_compliance(problem, start.mesh)
+    current = compliance(problem, theta)
 
     start_area_error = abs(start.area - problem.area) / problem.area
     change = np.abs(profile.values - start.values)
@@ -527,7 +543,7 @@ def _long_fin_length(problem: FinProblem, n_cells: int) -> float:
 def optimize_length(
     problem: FinProblem, options: OptimizerOptions = OptimizerOptions()
 ) -> OptimizationReport:
-    """Optimize the fin length and profile; four kernel solves.
+    """Optimize the fin length and profile; three kernel solves.
 
     A fin about LONG_FIN_FACTOR times the closed-form optimal length gets
     its optimal profile and one certifying solve; the root of its linear

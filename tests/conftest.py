@@ -71,6 +71,22 @@ def cosh_theta(problem, thickness, length, x):
     return scale * np.cosh(m * (length - x))
 
 
+def draw_fin(rng, log_lengths):
+    """(problem, n_cells, length) drawn log-uniform from rng.
+
+    k, h, area and q0 span four, three, four and four decades, n_cells
+    [4, 1e5], and the length log_lengths = (lo, hi) decades of the optimal
+    length.
+    """
+    problem = FinProblem(
+        k=10.0 ** rng.uniform(-1, 3), h=10.0 ** rng.uniform(0, 3),
+        area=10.0 ** rng.uniform(-7, -3), q0=10.0 ** rng.uniform(-1, 3),
+    )
+    n_cells = round(10.0 ** rng.uniform(math.log10(4.0), 5.0))
+    length = 10.0 ** rng.uniform(*log_lengths) * optimal_length(problem)
+    return problem, n_cells, length
+
+
 def optimal_profile(problem, n_cells, length=None):
     """Closed-form quadratic taper sampled at the faces."""
     if length is None:

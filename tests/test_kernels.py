@@ -1,4 +1,8 @@
-"""Direct tests of the tridiagonal kernel against its Thomas-loop oracle."""
+"""Direct tests of the tridiagonal kernel.
+
+The oracles are the Thomas loop on row sums in extended precision and the
+discrete constant fin in closed form.
+"""
 
 import numpy as np
 import pytest
@@ -13,10 +17,9 @@ from finopt import (
     optimize_profile,
     solve_temperature,
 )
-from finopt._kernels_py import solve_thomas
 from finopt.mesh import Mesh, ThicknessProfile
 from finopt.optimizer import _long_fin_length
-from conftest import optimal_profile, rectangular_profile
+from conftest import draw_fin, optimal_profile, rectangular_profile
 
 
 def random_spd_system(n, seed):
@@ -27,18 +30,11 @@ def random_spd_system(n, seed):
     return rowsum, off, rhs
 
 
-def diagonal(rowsum, off):
-    """The diagonal, formed as the kernel's Thomas tail forms it."""
+def dense(rowsum, off):
     d = np.array(rowsum, dtype=np.float64)
     d[:-1] -= off
     d[1:] -= off
-    return d
-
-
-def dense(rowsum, off):
-    a = np.diag(diagonal(rowsum, off))
-    a += np.diag(off, 1) + np.diag(off, -1)
-    return a
+    return np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1001])
@@ -132,6 +128,13 @@ def test_first_level_pivot_names_its_row():
         kernels.solve_spd_tridiagonal(*with_rowsum_entry(501, -2.0))
 
 
+def test_tail_pivot_names_its_row():
+    # Row 512 of 1001 stays even through the four levels down to 63 rows,
+    # where it is row 32 of the Thomas tail.
+    with pytest.raises(np.linalg.LinAlgError, match=r"at row 512\)$"):
+        kernels.solve_spd_tridiagonal(*with_rowsum_entry(512, -1e6))
+
+
 def test_solver_maps_reduction_failure_to_solver_error(base_problem, monkeypatch):
     # A negative convection makes every row sum negative: the matrix is
     # indefinite (the constant vector has negative energy).
@@ -150,27 +153,7 @@ def test_reports_one_backend():
 
 
 # ---------------------------------------------------------------------------
-# The Thomas loop as the oracle
-
-
-def test_equals_thomas_bitwise_up_to_cutoff():
-    for n in range(1, kernels.THOMAS_ROWS + 1):
-        rowsum, off, rhs = random_spd_system(n, seed=n)
-        x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
-        assert np.array_equal(x, solve_thomas(diagonal(rowsum, off), off, rhs)), n
-
-
-ORACLE_SIZES = sorted(
-    {2**k + d for k in range(1, 13) for d in (-1, 0, 1)} | {3000}
-)
-
-
-@pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_agrees_with_thomas(n):
-    rowsum, off, rhs = random_spd_system(n, seed=1000 + n)
-    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
-    ref = solve_thomas(diagonal(rowsum, off), off, rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+# The Thomas loop on row sums in extended precision as the oracle
 
 
 def thomas_longdouble(rowsum, off, rhs):
@@ -179,6 +162,7 @@ def thomas_longdouble(rowsum, off, rhs):
     sigma_i = s_i - (e_{i-1} / p_{i-1}) sigma_{i-1} is what row i sums to
     after elimination and p_i = sigma_i - e_i its pivot.  With s > 0 and
     e < 0 both add positive terms, so no conductance cancels the convection.
+    The kernel's tail is this loop in float64.
     """
     s = np.asarray(rowsum, dtype=np.longdouble)
     e = np.append(np.asarray(off, dtype=np.longdouble), 0)
@@ -197,22 +181,46 @@ def thomas_longdouble(rowsum, off, rhs):
     return x
 
 
+#: Error against the oracle on random diagonally dominant systems, relative
+#: to the largest unknown: up to 3.5e-16 measured, for the Thomas tail alone
+#: (at most THOMAS_ROWS rows) and through the reduction levels alike, and
+#: 4.3e-16 where long double is double.
+LONG_DOUBLE_RTOL = 1e-15
+
+
+def test_tail_agrees_with_long_double_up_to_cutoff():
+    for n in range(1, kernels.THOMAS_ROWS + 1):
+        rowsum, off, rhs = random_spd_system(n, seed=n)
+        x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+        ref = thomas_longdouble(rowsum, off, rhs)
+        assert np.max(np.abs(x - ref)) <= LONG_DOUBLE_RTOL * np.max(np.abs(ref)), n
+
+
+ORACLE_SIZES = sorted(
+    {2**k + d for k in range(1, 13) for d in (-1, 0, 1)} | {3000}
+)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_agrees_with_thomas(n):
+    rowsum, off, rhs = random_spd_system(n, seed=1000 + n)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+    ref = thomas_longdouble(rowsum, off, rhs)
+    assert np.max(np.abs(x - ref)) <= LONG_DOUBLE_RTOL * np.max(np.abs(ref))
+
+
 FIN_PROBLEMS = {
     "k200-h20": FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0),
     "k3.7-h812": FinProblem(k=3.7, h=812.0, area=2.3e-6, q0=0.31),
 }
 
-#: Root error both kernels must meet against the extended-precision solve
-#: of the matrix they are given.  The fin matrices are close to singular
-#: (conductances exceed the convection by up to ~1e10 at 1e5 cells); the
-#: Thomas loop's root error reaches ~6e-10 there.
-ROOT_RTOL = 1e-9
-
-#: The reduction's bound against the unrounded model: it takes the row
-#: sums and eliminates on them, so it never loses the convection to
-#: cancellation (measured up to 4.2e-14; on the float64 diagonal it was
-#: off by up to 1.7e-7 at 1e5 cells).
-REDUCTION_ROOT_RTOL = 1e-13
+#: Root error against the extended-precision solve of the same matrix.  The
+#: fin matrices are close to singular (conductances exceed the convection by
+#: up to ~1e10 at 1e5 cells), but the kernel takes the row sums and
+#: eliminates on them, through the Thomas tail too, so it never loses the
+#: convection to cancellation (measured up to 7.5e-16; a Thomas loop on the
+#: float64 diagonal is off by up to 2.2e-8).
+ROOT_RTOL = 1e-14
 
 _long_fins = {}
 
@@ -257,14 +265,44 @@ def test_fin_root_error_against_long_double(name, kind, n):
     root = float(thomas_longdouble(rowsum, off, rhs)[0])
     reduction = kernels.solve_spd_tridiagonal(rowsum, off, rhs)[0]
     assert abs(reduction - root) <= ROOT_RTOL * root
-    assert abs(reduction - root) <= REDUCTION_ROOT_RTOL * root
-    # The loop takes a float64 diagonal, which rounds the convection next
-    # to the conductances: it is held to the exact solve of that diagonal,
-    # not to the model (against the model it is off by up to 2.2e-8).
-    diag = diagonal(rowsum, off)
-    diag_rowsum = diag.astype(np.longdouble)
-    diag_rowsum[1:] += off
-    diag_rowsum[:-1] += off
-    loop_root = float(thomas_longdouble(diag_rowsum, off, rhs)[0])
-    loop = solve_thomas(diag, off, rhs)[0]
-    assert abs(loop - loop_root) <= ROOT_RTOL * loop_root
+
+
+# ---------------------------------------------------------------------------
+# The discrete constant fin in closed form as the oracle
+
+
+def constant_fin_temperature(problem, mesh, thickness):
+    """theta of a constant fin on the mesh, in closed form, in long double.
+
+    With a = k t / dx and sinh(mu / 2) = sqrt(h dx^2 / (2 k t)),
+    theta_i = q0 cosh((n - i) mu) / (a sinh(mu) sinh(n mu)).  Written with
+    exponentials, since sinh(n mu) overflows past n mu of about 710.
+    """
+    ld = np.longdouble
+    n, dx, t = mesh.n_cells, ld(mesh.dx), ld(thickness)
+    k, h, q0 = ld(problem.k), ld(problem.h), ld(problem.q0)
+    half = np.sqrt(h * dx * dx / (2 * k * t))
+    sinh_mu = 2 * half * np.sqrt(1 + half * half)
+    mu = 2 * np.arcsinh(half)
+    i = np.arange(n + 1, dtype=ld)
+    shape = np.exp(-i * mu) + np.exp((i - 2 * n) * mu)
+    return q0 * shape / (k * t / dx * sinh_mu * -np.expm1(-2 * n * mu))
+
+
+#: Node-wise relative error of the kernel against the constant fin: up to
+#: 1.7e-14 over these draws and 1.9e-14 over 2000.  A Thomas tail on the
+#: float64 diagonal is off by up to 8.1e-5 over these draws (722 cells at
+#: 1.1e-3 optimal lengths).
+CONSTANT_FIN_RTOL = 1e-13
+
+
+def test_constant_fin_node_wise():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        problem, n, length = draw_fin(rng, (-3, 1))
+        mesh = Mesh(n, length)
+        thickness = problem.area / length
+        theta = solve_temperature(problem, ThicknessProfile.constant(mesh, thickness))
+        exact = constant_fin_temperature(problem, mesh, thickness)
+        error = np.max(np.abs(theta.values / exact - 1))
+        assert error <= CONSTANT_FIN_RTOL, (problem, n, length)

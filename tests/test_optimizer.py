@@ -706,6 +706,21 @@ class TestDirectSolve:
         assert report.certificate.support_faces == 200
         assert report.certificate.floored_density_ratio == 0.0
 
+    @pytest.mark.parametrize("n_cells", [4, 1000, 100_000])
+    @pytest.mark.parametrize("factor", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+    def test_very_short_fins(self, name, factor, n_cells):
+        # The conductances exceed the convection by up to ~1e20 here; the
+        # kernel eliminates on the row sums, so the solve stays positive
+        # definite and q0 theta(0) meets the closed form q0^2 g r (measured
+        # up to 2.4e-15).
+        problem = ORACLE_PROBLEMS[name]
+        length = factor * optimal_length(problem)
+        report = optimize_profile(problem, length, OptimizerOptions(n_cells))
+        _, slope, _, root = _solve_optimality_conditions(problem, length, n_cells)
+        exact = problem.q0 * problem.q0 * slope * root
+        assert abs(report.compliance / exact - 1.0) <= 1e-14
+
     def test_hundred_thousand_cells(self, problem):
         report = optimize_profile(
             problem, optimal_length(problem), OptimizerOptions(n_cells=100_000)

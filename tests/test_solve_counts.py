@@ -14,14 +14,17 @@ import finopt.kernels
 from finopt import (
     FinProblem,
     OptimizerOptions,
+    compliance,
     evaluate_profile_optimality,
+    feasible_constant_profile,
     optimal_length,
     optimize_length,
     optimize_profile,
     solve_temperature,
+    variational_compliance,
 )
 from finopt.cli import main
-from conftest import ORACLE_H20, optimal_profile, random_feasible_profile
+from conftest import ORACLE_H20, draw_fin, optimal_profile, random_feasible_profile
 
 BASE = ["--k", "200", "--h", "20", "--area", "1.6e-4", "--q0", "20"]
 
@@ -45,28 +48,28 @@ def solves(monkeypatch):
     return calls
 
 
-def test_optimize_profile_makes_three(problem, solves):
-    # The constant start, the result and its adjoint.
+def test_optimize_profile_makes_two(problem, solves):
+    # The result and its adjoint; the constant start is a closed form.
     optimize_profile(problem, optimal_length(problem), OptimizerOptions(200))
+    assert len(solves) == 2
+
+
+def test_optimize_length_makes_three(problem, solves):
+    # The long fin's certifying solve, then one optimize_profile.
+    optimize_length(problem, OptimizerOptions(200))
     assert len(solves) == 3
 
 
-def test_optimize_length_makes_four(problem, solves):
-    # The long fin's certifying solve, then one optimize_profile.
-    optimize_length(problem, OptimizerOptions(200))
-    assert len(solves) == 4
-
-
-def test_cli_length_run_makes_four(tmp_path, solves):
+def test_cli_length_run_makes_three(tmp_path, solves):
     assert main(["optimize", *BASE, "--n-cells", "300", "--out-dir", str(tmp_path)]) == 0
-    assert len(solves) == 4
+    assert len(solves) == 3
 
 
-def test_cli_fixed_length_run_makes_three(tmp_path, solves):
+def test_cli_fixed_length_run_makes_two(tmp_path, solves):
     code = main(["optimize", *BASE, "--fixed-length", f"{ORACLE_H20['L']!r}",
                  "--n-cells", "300", "--out-dir", str(tmp_path)])
     assert code == 0
-    assert len(solves) == 3
+    assert len(solves) == 2
 
 
 def test_cli_verify_makes_two(tmp_path, solves):
@@ -81,6 +84,20 @@ def test_report_temperature_is_the_load_solve(problem):
     report = optimize_profile(problem, optimal_length(problem), OptimizerOptions(300))
     theta = solve_temperature(problem, report.profile)
     assert np.array_equal(report.temperature.values, theta.values)
+    assert report.compliance == compliance(problem, report.temperature)
+
+
+def test_start_row_is_the_solved_constant_fin():
+    # The closed form against the energy form of the constant fin's solve.
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        problem, n, length = draw_fin(rng, (-1, 1))
+        report = optimize_profile(problem, length, OptimizerOptions(n))
+        start = feasible_constant_profile(report.profile.mesh, problem.area)
+        solved = variational_compliance(
+            problem, start, solve_temperature(problem, start)
+        )
+        assert abs(report.history[0].compliance / solved - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n_cells", [64, 1000])
