@@ -22,7 +22,7 @@ optimize_length makes three: the long fin's certifying solve, then one
 optimize_profile.
 
 The optimality-criteria (OC) iteration that reaches the same profile,
-rescaling every face by (density / lambda)^eta, is kept as the private
+rescaling every face by (density / lambda)^OC_ETA, is kept as the private
 test oracle _optimize_profile_oc; the package does not call it.
 
 Optimal length: the root r of the optimal temperature.  The optimality
@@ -47,7 +47,7 @@ from .errors import DomainError, OptimizationError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
 from .sensitivity import TIP_EXCLUSION, interior_face_mask, solve_adjoint
-from .solver import compliance, solve_temperature, variational_compliance
+from .solver import compliance, solve_temperature
 
 __all__ = [
     "InnerIteration",
@@ -86,6 +86,12 @@ LONG_FIN_FACTOR = 3
 #: a zero face; such faces stop at this floor, far below the 1e-9 t0 that
 #: the oracle's agreement with the direct solve is held to.
 OC_FLOOR_RATIO = 1e-15
+
+#: The OC oracle's update exponent, relative move limit per step, and the
+#: largest relative face change at which it stops.
+OC_ETA = 0.5
+OC_MOVE = 0.2
+OC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,14 @@ class OptimalityCheck:
                                  objective and load
     grad_temp_mean               mean dtheta/dx (should be -q0 / (h L^2))
     thickness_slope              fitted d(dt/dx)/dx (should be 2 h / k)
+
+    The constant gradient holds at every length; theta(tip) = 0 and the
+    taper t'' = 2 h / k hold only at the optimal length, past which the
+    faces are zero.  The gradient and slope metrics therefore read only
+    faces that carry heat, outside the tip exclusion zone: dt/dx is fitted
+    at the interior nodes whose two faces are both positive.  With fewer
+    than two such nodes (a support under three faces) thickness_slope and
+    the residual are NaN.
     """
 
     grad_temp_cv: float
@@ -437,17 +451,16 @@ def _optimize_profile_oc(
     n_cells: int,
     max_iters: int = 500,
     initial_profile: ThicknessProfile | None = None,
-    eta: float = 0.5,
-    move: float = 0.2,
-    tol: float = 1e-8,
 ) -> tuple[ThicknessProfile, float, tuple[InnerIteration, ...]]:
     """OC iteration to the stationary profile: the test oracle.
 
-    Each step scales every face by (density / lambda)^eta, clipped to a
-    relative move limit and floored at OC_FLOOR_RATIO (h/k) L^2, with
-    lambda solved exactly from the area budget.  It stops when no face changes by more than tol, or after
-    max_iters steps.  Returns (profile, lagrange_multiplier, history); the
-    run converged when history[-1].max_change <= tol.
+    Each step scales every face by (density / lambda)^OC_ETA, clipped to
+    the relative move limit OC_MOVE and floored at OC_FLOOR_RATIO (h/k) L^2,
+    with lambda solved exactly from the area budget.  It stops when no face
+    changes by more than OC_TOL, or after max_iters steps.  Returns
+    (profile, lagrange_multiplier, history); the run converged when
+    history[-1].max_change <= OC_TOL.  Its history tracks the compliance
+    q0 theta(0), as optimize_profile reports it.
     """
     mesh = Mesh(n_cells, length)
     floor = OC_FLOOR_RATIO * (problem.h / problem.k) * length * length
@@ -467,10 +480,7 @@ def _optimize_profile_oc(
     dx = mesh.dx
     profile = ThicknessProfile(mesh, values)
     theta_hat = solve_temperature(unit_problem, profile)
-    # Track the energy-recovered compliance: its evaluation error is
-    # quadratic in the solve round-off, which keeps the descent history
-    # clean at the 1e-12 level the guard below enforces.
-    current = variational_compliance(unit_problem, profile, theta_hat)
+    current = compliance(unit_problem, theta_hat)
     history = [
         InnerIteration(
             compliance=load_scale * current,
@@ -485,7 +495,7 @@ def _optimize_profile_oc(
         dtheta = np.diff(theta_hat.values) / dx
         density = problem.k * dtheta * dtheta
         lam, new_values = _oc_step(
-            values, density, target_area, floor, dx, eta, move
+            values, density, target_area, floor, dx, OC_ETA, OC_MOVE
         )
         area_error = abs(_face_integral(new_values, dx) - target_area) / target_area
         if area_error > AREA_TOL:
@@ -498,7 +508,7 @@ def _optimize_profile_oc(
         values = new_values
         profile = ThicknessProfile(mesh, values)
         theta_hat = solve_temperature(unit_problem, profile)
-        updated = variational_compliance(unit_problem, profile, theta_hat)
+        updated = compliance(unit_problem, theta_hat)
         history.append(InnerIteration(load_scale * updated, area_error, max_change))
 
         if updated > current + DESCENT_SLACK * abs(current):
@@ -513,7 +523,7 @@ def _optimize_profile_oc(
             rises = 0
         current = updated
 
-        if max_change <= tol:
+        if max_change <= OC_TOL:
             break
 
     return profile, load_scale * lam, tuple(history)
@@ -571,8 +581,8 @@ def evaluate_profile_optimality(
     zone are left out of the gradient-constancy and thickness-slope
     metrics (see TIP_EXCLUSION): a sampled taper is least resolved there,
     and zero faces past a support do not meet the pointwise conditions.
-    The gradient metrics also leave out zero faces anywhere, so they
-    measure only faces that carry heat.
+    Both metrics also leave out zero faces anywhere, so they measure only
+    faces that carry heat.
     """
     mesh = profile.mesh
     if theta is None:
@@ -587,7 +597,8 @@ def evaluate_profile_optimality(
 
     dx = mesh.dx
     slopes = np.diff(theta.values) / dx
-    inside = interior_face_mask(mesh) & (profile.values > 0.0)
+    positive = profile.values > 0.0
+    inside = interior_face_mask(mesh) & positive
     picked = slopes[inside]
     mean_slope = float(np.mean(picked)) if picked.size else 0.0
     if mean_slope == 0.0:
@@ -599,12 +610,16 @@ def evaluate_profile_optimality(
     dtdx = np.diff(profile.values) / dx
     positions = mesh.nodes[1:-1]
     window = positions <= (1.0 - TIP_EXCLUSION) * mesh.length
+    window &= positive[:-1] & positive[1:]
     xs = positions[window] - mesh.length
     ys = dtdx[window]
-    slope, intercept = _fit_line(xs, ys)
-    fitted = slope * xs + intercept
-    scale = np.linalg.norm((2.0 * problem.h / problem.k) * xs)
-    residual = float(np.linalg.norm(ys - fitted)) / max(float(scale), tiny)
+    if xs.size < 2:
+        slope = residual = math.nan
+    else:
+        slope, intercept = _fit_line(xs, ys)
+        fitted = slope * xs + intercept
+        scale = np.linalg.norm((2.0 * problem.h / problem.k) * xs)
+        residual = float(np.linalg.norm(ys - fitted)) / max(float(scale), tiny)
 
     return OptimalityCheck(
         grad_temp_cv=grad_cv,

@@ -146,14 +146,13 @@ class ConvergenceStudy:
 def refine_and_estimate_order(
     problem: FinProblem,
     profile_generator: Callable[[int], ThicknessProfile],
-    field_extractor: Callable[[TemperatureField], float] = lambda f: f.root_value,
     n_cells: Sequence[int] = (250, 500, 1000),
     exact: float | None = None,
 ) -> ConvergenceStudy:
-    """Estimate the observed convergence order of a scalar field functional.
+    """Estimate the observed convergence order of the root temperature theta(0).
 
     profile_generator(n) must return a profile on an n-cell mesh of a fixed
-    length.  With a known exact value the order is the least-squares slope
+    length; values holds theta(0) of each mesh's solve.  With a known exact value the order is the least-squares slope
     of log error versus log dx; without one, a Richardson-style estimate
     from successive differences (requiring a constant refinement ratio).
     """
@@ -170,8 +169,8 @@ def refine_and_estimate_order(
             raise DomainError(
                 f"profile generator returned {profile.mesh.n_cells} cells, expected {n}"
             )
-        values.append(field_extractor(solve_temperature(problem, profile)))
-    values = tuple(float(v) for v in values)
+        values.append(solve_temperature(problem, profile).root_value)
+    values = tuple(values)
 
     if exact is not None:
         errors = tuple(abs(v - exact) for v in values)

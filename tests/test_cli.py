@@ -1,6 +1,8 @@
 """End-to-end CLI flows, exit codes, and file outputs."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ BASE = ["--k", "200", "--area", "1.6e-4", "--q0", "20"]
 SUMMARY_KEYS = {
     "L", "t0", "theta0", "compliance",
     "r_fin", "r_cond", "r_conv", "biot", "duffin_flux", "config",
+}
+# The fixed limits of the four optimality checks of a length run and verify.
+CHECK_LIMITS = {
+    "grad_temp_cv": 1e-2,
+    "tip_temp_ratio": 2e-2,
+    "thickness_slope_err": 2e-2,
+    "selfadjoint_gap": 1e-10,
 }
 
 
@@ -168,6 +177,21 @@ class TestRemovedOptions:
             main([*command, flag, "1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--max-grad-cv", "--max-tip-ratio", "--max-slope-err",
+         "--max-selfadjoint-gap"],
+    )
+    @pytest.mark.parametrize("command", [
+        ["optimize", *BASE, "--h", "20"],
+        ["verify", "profile.csv", *BASE, "--h", "20"],
+    ], ids=["optimize", "verify"])
+    def test_check_limit_is_usage_error(self, command, flag):
+        # The optimality checks have fixed limits.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, "1"])
+        assert excinfo.value.code == 2
+
 
 class TestOptimize:
     def test_fixed_length_run(self, tmp_path, capsys):
@@ -215,6 +239,9 @@ class TestOptimize:
         assert search["long_fin_length"] == pytest.approx(3 * ORACLE_H20["L"], rel=1e-2)
         assert search["long_fin_support_faces"] == 100
         assert report["length"] == pytest.approx(ORACLE_H20["L"], rel=1e-3)
+        limits = {name: check["limit"] for name, check in report["checks"].items()}
+        certificate_limit = 1.0 + finopt.optimizer.DENSITY_SLACK
+        assert limits == {**CHECK_LIMITS, "certificate": certificate_limit}
 
     def test_fixed_optimal_length_on_64_cells_exits_0(self, tmp_path, capsys):
         # The OC loop stalled here, a node next to the support edge, and
@@ -237,14 +264,60 @@ class TestOptimize:
         for name in ("report.json", "profile.csv", "temperature.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_threshold_failure_exits_1(self, tmp_path, capsys):
-        code = main(
-            ["optimize", *BASE, "--h", "20",
-             "--fixed-length", f"{ORACLE_H20['L']!r}", "--n-cells", "250",
-             "--max-tip-ratio", "1e-9", "--out-dir", str(tmp_path)]
+    def test_threshold_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A length run checks theta(tip) / theta(root) against its fixed
+        # limit; a metric over it fails the run.
+        exact_metrics = finopt.optimizer.evaluate_profile_optimality
+
+        def warm_tip(*args):
+            return dataclasses.replace(exact_metrics(*args), tip_temp_ratio=0.5)
+
+        monkeypatch.setattr(
+            finopt.optimizer, "evaluate_profile_optimality", warm_tip
         )
+        code = main(["optimize", *BASE, "--h", "20", "--n-cells", "250",
+                     "--out-dir", str(tmp_path)])
         assert code == 1
         assert "FAIL tip_temp_ratio" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"]["tip_temp_ratio"] == {
+            "value": 0.5, "limit": 2e-2, "passed": False,
+        }
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e-2, 0.5, 0.9, 1.5, 3.0, 10.0])
+    def test_fixed_length_optimum_exits_0(self, tmp_path, capsys, factor):
+        # The optimum at any length has a constant temperature gradient, but
+        # theta(tip) = 0 only at L*: a fixed-length run reports the tip
+        # ratio without checking it.  Past L* the slope is fitted over the
+        # support only, not over the zero faces past it.
+        length = factor * ORACLE_H20["L"]
+        code = main(["optimize", *BASE, "--h", "20",
+                     "--fixed-length", f"{length!r}", "--n-cells", "1000",
+                     "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "FAIL" not in out
+        assert "tip_temp_ratio" not in out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "tip_temp_ratio" not in report["checks"]
+        assert report["optimality"]["tip_temp_ratio"] >= 0.0
+        if factor < 1.0:
+            # The support is the whole fin and theta(L) = g (r - L) > 0.
+            assert report["optimality"]["tip_temp_ratio"] > 2e-2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_face_support_fails_the_slope_check(self, tmp_path, capsys):
+        # At 3 L* on 8 cells the budget fills two faces: one node lies
+        # between two positive faces, too few to fit a slope.
+        code = main(["optimize", *BASE, "--h", "20",
+                     "--fixed-length", f"{3.0 * ORACLE_H20['L']!r}",
+                     "--n-cells", "8", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "FAIL thickness_slope_err: nan" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["certificate"]["support_faces"] == 2
+        assert math.isnan(report["optimality"]["thickness_slope"])
+        assert report["checks"]["thickness_slope_err"]["passed"] is False
 
     def test_too_coarse_mesh_exits_2(self, tmp_path, capsys):
         code = main(
@@ -347,6 +420,12 @@ class TestVerify:
         assert code == 0
         assert "biot = 1" in out
         assert "FAIL" not in out
+        checks = [line for line in out.splitlines() if line.startswith("PASS")]
+        assert [line.split(":")[0] for line in checks] == [
+            f"PASS {name}" for name in CHECK_LIMITS
+        ]
+        for line, limit in zip(checks, CHECK_LIMITS.values()):
+            assert line.endswith(f"(limit {limit:.3e})")
 
     def test_rectangular_profile_fails_gradient_constancy(self, tmp_path, capsys):
         path = tmp_path / "rect.csv"

@@ -338,6 +338,44 @@ class TestOptimalityMetrics:
         oc = evaluate_profile_optimality(problem, profile)
         assert oc.grad_temp_cv == math.inf and oc.grad_temp_mean == 0.0
 
+    @pytest.mark.parametrize("factor", [1.25, 1.5, 3.0, 10.0])
+    def test_slope_fit_skips_zero_faces(self, problem, factor):
+        # Past L* the optimum's support ends inside the window; over the
+        # support the taper is t'' = 2 h / k exactly, so the fit over the
+        # nodes between positive faces meets it to rounding.
+        report = optimize_profile(problem, factor * optimal_length(problem))
+        assert report.certificate.support_faces < N_CELLS
+        oc = report.optimality
+        assert abs(oc.thickness_slope / (2.0 * problem.h / problem.k) - 1.0) <= 1e-12
+        assert oc.thickness_grad_linfit_residual <= 1e-12
+
+    def test_slope_fit_without_zero_faces_is_the_window_fit(self, problem):
+        # With every face positive the fit runs over the whole window, as
+        # it did before zero faces were left out.
+        profile = rectangular_profile(problem, N_CELLS)
+        profile = profile.with_values(
+            profile.values * np.linspace(1.5, 0.5, N_CELLS)
+        )
+        mesh = profile.mesh
+        positions = mesh.nodes[1:-1]
+        window = positions <= (1.0 - TIP_EXCLUSION) * mesh.length
+        expected, _ = _fit_line(
+            positions[window] - mesh.length,
+            (np.diff(profile.values) / mesh.dx)[window],
+        )
+        oc = evaluate_profile_optimality(problem, profile)
+        assert oc.thickness_slope == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("support", [1, 2])
+    def test_slope_is_nan_below_two_fit_nodes(self, problem, support):
+        values = np.zeros(10)
+        values[:support] = 1e-3
+        profile = ThicknessProfile(Mesh(10, optimal_length(problem)), values)
+        oc = evaluate_profile_optimality(problem, profile)
+        assert math.isnan(oc.thickness_slope)
+        assert math.isnan(oc.thickness_grad_linfit_residual)
+
     def test_given_temperature_must_share_the_mesh(self, problem):
         profile = optimal_profile(problem, N_CELLS)
         other = optimal_profile(problem, N_CELLS // 2)
