@@ -49,6 +49,16 @@ def get_backend() -> str:
     return _BACKEND
 
 
+def not_positive_definite(pivot: float, row: int) -> LinAlgError:
+    """The error for a nonpositive or NaN pivot at a row of the matrix.
+
+    The error keeps both as its pivot and row attributes.
+    """
+    err = LinAlgError(f"matrix is not positive definite (pivot {pivot:g} at row {row})")
+    err.pivot, err.row = pivot, row
+    return err
+
+
 def solve_spd_tridiagonal(
     rowsum: np.ndarray, off: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -57,7 +67,8 @@ def solve_spd_tridiagonal(
     ``rowsum`` holds the row sums of the matrix (length m), ``off`` its
     sub/super diagonal (length m - 1); the diagonal is rowsum - off_left -
     off_right.  Raises ValueError for inputs of the wrong shape and
-    numpy.linalg.LinAlgError when the matrix is not positive definite.
+    numpy.linalg.LinAlgError (see not_positive_definite) when the matrix is
+    not positive definite.
     Pure function; safe to call from multiple threads.
     """
     s = np.ascontiguousarray(rowsum, dtype=np.float64)
@@ -97,10 +108,7 @@ def solve_spd_tridiagonal(
         d_odd[:n_right] -= e_right
         if not d_odd.min() > 0.0:
             j = int(np.argmin(d_odd > 0.0))
-            raise LinAlgError(
-                "matrix is not positive definite (pivot %g at row %d)"
-                % (d_odd[j], (2 * j + 1) << len(levels))
-            )
+            raise not_positive_definite(d_odd[j], (2 * j + 1) << len(levels))
         a = e_left / d_odd
         c = e_right / d_odd[:n_right]
         product, right = scratch[:n_odd], scratch[:n_right]
@@ -126,24 +134,23 @@ def solve_spd_tridiagonal(
         x_prev = x[i] = x[i] - w * x_prev
         p = sigma - e[i]
         if not p > 0.0:
-            raise LinAlgError(
-                "matrix is not positive definite (pivot %g at row %d)"
-                % (p, i << len(levels))
-            )
+            raise not_positive_definite(p, i << len(levels))
         pivots.append(p)
         w = e[i] / p
     x[-1] /= pivots[-1]
     for i in range(len(x) - 2, -1, -1):
         x[i] = (x[i] - e[i] * x[i + 1]) / pivots[i]
-    x = np.array(x)
 
-    for d_odd, e_left, e_right, b_odd in reversed(levels):
+    # Back substitution into strided views of the result: the unknowns of
+    # level l are every 2**l-th entry, its odd rows the ones in between.
+    result = np.empty(m)
+    result[:: 1 << len(levels)] = x
+    for level in range(len(levels) - 1, -1, -1):
+        d_odd, e_left, e_right, b_odd = levels[level]
         n_odd, n_right = d_odd.shape[0], e_right.shape[0]
-        x_full = np.empty(x.shape[0] + n_odd)
-        x_full[0::2] = x
-        odd = x_full[1::2]
-        np.subtract(b_odd, np.multiply(e_left, x[:n_odd], out=odd), out=odd)
-        odd[:n_right] -= np.multiply(e_right, x[1:], out=scratch[:n_right])
+        step = 1 << level
+        even, odd = result[:: 2 * step], result[step :: 2 * step]
+        np.subtract(b_odd, np.multiply(e_left, even[:n_odd], out=odd), out=odd)
+        odd[:n_right] -= np.multiply(e_right, even[1:], out=scratch[:n_right])
         odd /= d_odd
-        x = x_full
-    return x
+    return result

@@ -13,13 +13,13 @@ the result at the real load q0 measures the certificate (density spread
 on the support, largest density over lambda past it, area error); a
 failed certificate raises OptimizationError.
 
-Solves per call.  optimize_profile makes two: the result, whose
+Solves per call.  optimize_profile makes one: the result, whose
 temperature serves the certificate, the compliance q0 theta(0), the
-optimality metrics and the report's temperature field; and the adjoint of
-evaluate_profile_optimality, so the self-adjoint gap still compares two
-solves.  The constant start, the first history row, is a closed form.
-optimize_length makes three: the long fin's certifying solve, then one
-optimize_profile.
+optimality metrics and the report's temperature field.  The compliance is
+self-adjoint, so that temperature is also the adjoint the metrics take,
+and the report's self-adjoint gap is 0.  The constant start, the first
+history row, is a closed form.  optimize_length makes two: the long fin's
+certifying solve, then one optimize_profile.
 
 The optimality-criteria (OC) iteration that reaches the same profile,
 rescaling every face by (density / lambda)^OC_ETA, is kept as the private
@@ -46,7 +46,7 @@ from . import analytic
 from .errors import DomainError, OptimizationError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
-from .sensitivity import TIP_EXCLUSION, interior_face_mask, solve_adjoint
+from .sensitivity import interior_face_count, interior_node_count, solve_adjoint
 from .solver import compliance, solve_temperature
 
 __all__ = [
@@ -125,11 +125,13 @@ class OptimalityCheck:
     grad_temp_cv                 spread of dtheta/dx where it should be constant
     thickness_grad_linfit_residual  misfit of dt/dx to a straight line
     tip_temp_ratio               theta(tip) / theta(root)
-    selfadjoint_gap              max |w - theta| / theta(root); the adjoint
-                                 runs the primal's checked solve with its own
-                                 load dC/dtheta, so the gap is 0 by
-                                 construction and guards the pairing of
-                                 objective and load
+    selfadjoint_gap              max |w - theta| / theta(root).  From
+                                 solve_adjoint, which solves the same system
+                                 tip first, it is the rounding of two
+                                 elimination orders (about 1e-15); the
+                                 optimizer passes theta as w, which the
+                                 self-adjointness of the compliance allows,
+                                 and reports 0
     grad_temp_mean               mean dtheta/dx (should be -q0 / (h L^2))
     thickness_slope              fitted d(dt/dx)/dx (should be 2 h / k)
 
@@ -190,8 +192,9 @@ class OptimizationReport:
     the result's solve at the load q0; it gives the compliance q0 theta(0),
     the certificate and the optimality metrics.  The start row's compliance
     is the constant fin's closed form.  A length run keeps its long fin in
-    long_fin.  A fixed-length run makes two kernel solves (temperature,
-    adjoint), a length run three (the long fin's one more).
+    long_fin.  A fixed-length run makes one kernel solve, whose temperature
+    is also the adjoint of its optimality metrics, and a length run two
+    (the long fin's one more).
     """
 
     profile: ThicknessProfile
@@ -288,9 +291,12 @@ def _solve_optimality_conditions(
     # Filled in place: each fresh support-long temporary costs a page-in.
     s = np.arange(m, 0.0, -1.0)
     values = np.zeros(n)
-    active = values[:m]
-    np.multiply(s, s - 1.0, out=active)
-    active += d * (2.0 * s - tip)
+    active = np.subtract(s, 1.0, out=values[:m])
+    active *= s
+    s *= 2.0
+    s -= tip
+    s *= d
+    active += s
     active *= h * dx * dx / k
     slope = 1.0 / (h * dx * r + k * values[0])
     return values, slope, m, r
@@ -314,12 +320,18 @@ def _certify(
             f"the solved profile leaves the area budget unmet "
             f"(relative error {area_error:g})"
         )
-    gradient = np.diff(theta.values) / profile.mesh.dx
-    ratio = (gradient / slope) ** 2
+    # density / lambda = (gradient / slope)^2, in place on one array.
+    ratio = np.diff(theta.values)
+    ratio /= profile.mesh.dx
+    ratio /= slope
+    np.square(ratio, out=ratio)
+    floored = float(np.max(ratio[support:], initial=0.0))
+    spread = ratio[:support]
+    spread -= 1.0
     certificate = OptimalityCertificate(
         support_faces=support,
-        density_spread=float(np.max(np.abs(ratio[:support] - 1.0))),
-        floored_density_ratio=float(np.max(ratio[support:], initial=0.0)),
+        density_spread=float(np.max(np.abs(spread, out=spread))),
+        floored_density_ratio=floored,
         area_error=area_error,
     )
     if not certificate.floored_density_ratio <= 1.0 + DENSITY_SLACK:
@@ -360,30 +372,35 @@ def optimize_profile(
 
     The profile does not depend on the load: it is built for a unit root
     flux, so it is bitwise identical for every q0 > 0, and the multiplier
-    is scaled by q0^2.  Two kernel solves: the result and its adjoint.
+    is scaled by q0^2.  One kernel solve: the result's temperature is also
+    its adjoint.
     """
     profile, theta, slope, _root, certificate = _optimize_direct(
         problem, length, options.n_cells
     )
-    start = feasible_constant_profile(profile.mesh, problem.area)
-    start_compliance = _constant_fin_compliance(problem, start.mesh)
+    mesh = profile.mesh
     current = compliance(problem, theta)
-
-    start_area_error = abs(start.area - problem.area) / problem.area
-    change = np.abs(profile.values - start.values)
-    change /= start.values
+    # The constant start, feasible_constant_profile, as its one value t.
+    # Its area sums the n-long array, as ThicknessProfile.area does.  Its
+    # largest relative change max |t_i - t| / t is at the thinnest or the
+    # thickest face: rounding keeps t_i - t monotone in t_i.
+    t = problem.area / mesh.length
+    start_area = float(np.sum(np.full(mesh.n_cells, t))) * mesh.dx
+    start_area_error = abs(start_area - problem.area) / problem.area
+    low, high = float(np.min(profile.values)), float(np.max(profile.values))
+    change = max(abs(low - t), abs(high - t)) / t
     history = (
-        InnerIteration(start_compliance, start_area_error, math.inf),
-        InnerIteration(current, certificate.area_error, float(np.max(change))),
+        InnerIteration(_constant_fin_compliance(problem, mesh), start_area_error, math.inf),
+        InnerIteration(current, certificate.area_error, change),
     )
     return OptimizationReport(
         profile=profile,
-        length=profile.mesh.length,
+        length=mesh.length,
         compliance=current,
         lagrange_multiplier=problem.q0 * problem.q0 * problem.k * slope * slope,
         inner_iterations=1,
         history=history,
-        optimality=evaluate_profile_optimality(problem, profile, theta),
+        optimality=evaluate_profile_optimality(problem, profile, theta, adjoint=theta),
         certificate=certificate,
         temperature=theta,
     )
@@ -553,7 +570,7 @@ def _long_fin_length(problem: FinProblem, n_cells: int) -> float:
 def optimize_length(
     problem: FinProblem, options: OptimizerOptions = OptimizerOptions()
 ) -> OptimizationReport:
-    """Optimize the fin length and profile; three kernel solves.
+    """Optimize the fin length and profile; two kernel solves.
 
     A fin about LONG_FIN_FACTOR times the closed-form optimal length gets
     its optimal profile and one certifying solve; the root of its linear
@@ -573,13 +590,18 @@ def evaluate_profile_optimality(
     problem: FinProblem,
     profile: ThicknessProfile,
     theta: TemperatureField | None = None,
+    adjoint: TemperatureField | None = None,
 ) -> OptimalityCheck:
     """Compute the optimality residual metrics for one profile.
 
-    theta, if given, must be solve_temperature(problem, profile); it saves
-    that solve, and only the adjoint is solved.  Faces in the tip exclusion
-    zone are left out of the gradient-constancy and thickness-slope
-    metrics (see TIP_EXCLUSION): a sampled taper is least resolved there,
+    theta, if given, must be solve_temperature(problem, profile), and
+    adjoint, if given, must solve the adjoint system; each one given saves
+    its solve.  A caller that passes theta as the adjoint uses the
+    self-adjointness of the compliance, and its selfadjoint_gap is 0;
+    solve_adjoint's own solve, in the reversed node order, measures the
+    kernel's rounding instead.  Faces in the tip exclusion zone are left
+    out of the gradient-constancy and thickness-slope metrics (see
+    sensitivity.TIP_EXCLUSION): a sampled taper is least resolved there,
     and zero faces past a support do not meet the pointwise conditions.
     Both metrics also leave out zero faces anywhere, so they measure only
     faces that carry heat.
@@ -589,37 +611,50 @@ def evaluate_profile_optimality(
         theta = solve_temperature(problem, profile)
     elif theta.mesh != mesh:
         raise DomainError("temperature field and profile live on different meshes")
-    adjoint = solve_adjoint(problem, profile)
+    if adjoint is None:
+        adjoint = solve_adjoint(problem, profile)
+    elif adjoint.mesh != mesh:
+        raise DomainError("adjoint field and profile live on different meshes")
 
     tiny = float(np.finfo(np.float64).tiny)
     root = max(abs(theta.root_value), tiny)
-    selfadjoint_gap = float(np.max(np.abs(adjoint.values - theta.values))) / root
+    gap = np.subtract(adjoint.values, theta.values)
+    selfadjoint_gap = float(np.max(np.abs(gap, out=gap))) / root
 
-    dx = mesh.dx
-    slopes = np.diff(theta.values) / dx
-    positive = profile.values > 0.0
-    inside = interior_face_mask(mesh) & positive
-    picked = slopes[inside]
-    mean_slope = float(np.mean(picked)) if picked.size else 0.0
+    # The windows outside the tip exclusion zone lead the mesh, so they are
+    # slices; only a zero face inside one makes a mask.
+    dx, values = mesh.dx, profile.values
+    faces = interior_face_count(mesh)
+    slopes = np.diff(theta.values[: faces + 1])
+    slopes /= dx
+    if not np.min(values[:faces]) > 0.0:
+        slopes = slopes[values[:faces] > 0.0]
+    mean_slope = float(np.mean(slopes)) if slopes.size else 0.0
     if mean_slope == 0.0:
         grad_cv = math.inf
     else:
-        grad_cv = float(np.std(picked)) / abs(mean_slope)
+        grad_cv = float(np.std(slopes)) / abs(mean_slope)
 
-    # dt/dx is centered between faces, i.e. on interior nodes.
-    dtdx = np.diff(profile.values) / dx
-    positions = mesh.nodes[1:-1]
-    window = positions <= (1.0 - TIP_EXCLUSION) * mesh.length
-    window &= positive[:-1] & positive[1:]
-    xs = positions[window] - mesh.length
-    ys = dtdx[window]
+    # dt/dx is centered between faces, i.e. on interior nodes 1..nodes.
+    nodes = interior_node_count(mesh)
+    ys = np.diff(values[: nodes + 1])
+    ys /= dx
+    xs = np.arange(1, nodes + 1, dtype=np.float64)
+    xs *= dx
+    xs -= mesh.length
+    if not np.min(values[: nodes + 1]) > 0.0:
+        window = (values[:nodes] > 0.0) & (values[1 : nodes + 1] > 0.0)
+        xs, ys = xs[window], ys[window]
     if xs.size < 2:
         slope = residual = math.nan
     else:
         slope, intercept = _fit_line(xs, ys)
-        fitted = slope * xs + intercept
-        scale = np.linalg.norm((2.0 * problem.h / problem.k) * xs)
-        residual = float(np.linalg.norm(ys - fitted)) / max(float(scale), tiny)
+        misfit = np.multiply(xs, slope)
+        misfit += intercept
+        np.subtract(ys, misfit, out=misfit)
+        xs *= 2.0 * problem.h / problem.k
+        scale = float(np.linalg.norm(xs))
+        residual = float(np.linalg.norm(misfit)) / max(scale, tiny)
 
     return OptimalityCheck(
         grad_temp_cv=grad_cv,

@@ -3,10 +3,12 @@
 The compliance C = q0 * theta(0) of the discrete model A theta = b has the
 adjoint system A^T w = dC/dtheta = q0 * e0.  The fin operator is stored
 once, as row sums and one off-diagonal (see kernels), so A^T = A by
-construction, and the adjoint runs the primal's checked solve with its own
-load.  That load coincides with the heat input, so w equals theta bit for
-bit: the self-adjoint gap is 0 by construction, and it guards the pairing
-of objective and load.
+construction, and the load coincides with the heat input: w = theta.  The
+optimizer uses this and passes its temperature as the adjoint.
+solve_adjoint instead solves the system with the node order reversed, so
+the kernel eliminates tip first and the root's load row comes last; w and
+theta then differ by the rounding of two elimination orders, about 1e-15
+of theta(0), and a fault of either order shows as a self-adjoint gap.
 
 Each face value enters the matrix only through its own link conductance,
 so the gradient is diagonal in the face index:
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .mesh import Mesh, TemperatureField, ThicknessProfile
 from .problem import FinProblem
-from .solver import compliance, solve_temperature
+from .solver import _checked_solve, compliance, solve_temperature
 
 __all__ = [
     "SensitivityField",
@@ -45,18 +47,48 @@ __all__ = [
 TIP_EXCLUSION = 0.1
 
 
+def _leading_outside_tip(mesh: Mesh, offset: float, count: int) -> int:
+    """How many of the positions (i + offset) dx, i < count, are outside the
+    tip exclusion zone.
+
+    The positions grow with i, so these are the leading ones.  Each is
+    rounded as Mesh.faces (offset 0.5) and Mesh.nodes (whole offsets)
+    round it, so the count matches a mask over those arrays exactly.
+    """
+    dx, limit = mesh.dx, (1.0 - TIP_EXCLUSION) * mesh.length
+    i = min(max(int(limit / dx - offset), 0), count)
+    while i < count and (i + offset) * dx <= limit:
+        i += 1
+    while i > 0 and (i - 1 + offset) * dx > limit:
+        i -= 1
+    return i
+
+
+def interior_face_count(mesh: Mesh) -> int:
+    """Number of faces outside the tip exclusion zone; they lead the mesh."""
+    return _leading_outside_tip(mesh, 0.5, mesh.n_cells)
+
+
+def interior_node_count(mesh: Mesh) -> int:
+    """Number of interior nodes 1, 2, ... outside the tip exclusion zone."""
+    return _leading_outside_tip(mesh, 1.0, mesh.n_cells - 1)
+
+
 def interior_face_mask(mesh: Mesh) -> np.ndarray:
     """Boolean mask of faces outside the tip exclusion zone."""
-    return mesh.faces <= (1.0 - TIP_EXCLUSION) * mesh.length
+    return np.arange(mesh.n_cells) < interior_face_count(mesh)
 
 
 def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
     """Solve the adjoint system for the compliance objective.
 
     The adjoint's load dC/dtheta_0 = q0 for C = q0 * theta_0 is the heat
-    input, and A^T = A, so this is the primal's checked solve.
+    input, and A^T = A, so w solves the primal's system.  It is solved with
+    the node order reversed, tip first, through the primal's checks: the
+    kernel eliminates in another order, so w - theta is the solve's
+    rounding, and a fault of either order shows as a self-adjoint gap.
     """
-    return solve_temperature(problem, profile)
+    return _checked_solve(problem, profile, reverse=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +127,7 @@ def compliance_gradient(
     dw = np.diff(adjoint.values) / dx
     density = problem.k * dtheta * dw
     values = -(density * dx)
-    inside = interior_face_mask(mesh)
-    shift = float(np.mean(density[inside]))
+    shift = float(np.mean(density[: interior_face_count(mesh)]))
     return SensitivityField(mesh=mesh, values=values, lagrange_shift=shift)
 
 

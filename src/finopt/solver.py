@@ -72,14 +72,35 @@ def assemble_fin_system(
 def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
     """Solve for the excess temperature on the profile's mesh.
 
-    The one checked solve of the package; the adjoint runs it too.  Faces
-    may be zero: the nodes past a zero face get theta = 0.  Raises
+    Faces may be zero: the nodes past a zero face get theta = 0.  Raises
     SolverError if the direct solve fails; never returns NaNs.
     """
+    return _checked_solve(problem, profile, reverse=False)
+
+
+def _checked_solve(
+    problem: FinProblem, profile: ThicknessProfile, reverse: bool
+) -> TemperatureField:
+    """The checked kernel solve of the fin system, in either node order.
+
+    reverse solves the same system with its nodes numbered tip first, so
+    the kernel eliminates in another order and the root's load row comes
+    last; the solution is returned in mesh order.  A failed pivot is named
+    by its row in mesh order.
+    """
+    rowsum, off, rhs = assemble_fin_system(problem, profile)
+    if reverse:
+        rowsum, off, rhs = rowsum[::-1], off[::-1], rhs[::-1]
     try:
-        theta = kernels.solve_spd_tridiagonal(*assemble_fin_system(problem, profile))
+        theta = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"direct solve failed: {exc}") from exc
+        error = exc
+        if reverse:
+            row = rowsum.shape[0] - 1 - exc.row
+            error = kernels.not_positive_definite(exc.pivot, row)
+        raise SolverError(f"direct solve failed: {error}") from exc
+    if reverse:
+        theta = theta[::-1].copy()
     if not np.all(np.isfinite(theta)):
         raise SolverError("direct solve produced non-finite values")
     theta.flags.writeable = False  # the field keeps it without a copy

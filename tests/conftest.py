@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from finopt import FinProblem, optimal_length
 from finopt.mesh import Mesh, ThicknessProfile
@@ -50,6 +51,16 @@ ORACLE_RECT_THICK = {
     "t": 0.0018970097623947002,
     "m": 10.267866534130576,
     "theta0": 5.465714027385231,
+}
+
+
+# Log10 of k, h, area, q0 and n_cells, over the decades the package serves.
+DECADES = {
+    "log_k": st.floats(-1.0, 3.0),
+    "log_h": st.floats(0.0, 4.0),
+    "log_area": st.floats(-7.0, -3.0),
+    "log_q0": st.floats(-2.0, 3.0),
+    "log_n": st.floats(math.log10(4.0), 5.0),
 }
 
 

@@ -269,8 +269,9 @@ class TestOptimize:
         # limit; a metric over it fails the run.
         exact_metrics = finopt.optimizer.evaluate_profile_optimality
 
-        def warm_tip(*args):
-            return dataclasses.replace(exact_metrics(*args), tip_temp_ratio=0.5)
+        def warm_tip(problem, profile, theta=None, adjoint=None):
+            check = exact_metrics(problem, profile, theta, adjoint=adjoint)
+            return dataclasses.replace(check, tip_temp_ratio=0.5)
 
         monkeypatch.setattr(
             finopt.optimizer, "evaluate_profile_optimality", warm_tip
@@ -456,6 +457,26 @@ class TestVerify:
         code = main(["verify", str(path), *BASE, "--h", "20"])
         assert code == 2
         assert "start at x = 0" in capsys.readouterr().err
+
+    def test_fault_in_one_elimination_order_fails_the_gap(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The adjoint is solved tip first, so its load row comes last.  A
+        # kernel that errs by 1e-8 in that order alone must show in the
+        # self-adjoint gap, whose limit is 1e-10.
+        path = self._write_analytic_profile(tmp_path)
+        solve = finopt.kernels.solve_spd_tridiagonal
+
+        def faulty_in_reverse(rowsum, off, rhs):
+            x = solve(rowsum, off, rhs)
+            return x * (1.0 + 1e-8) if rhs[-1] != 0.0 else x
+
+        monkeypatch.setattr(finopt.kernels, "solve_spd_tridiagonal", faulty_in_reverse)
+        code = main(["verify", str(path), *BASE, "--h", "20"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL selfadjoint_gap" in out
+        assert "FAIL grad_temp_cv" not in out
 
 
 class TestRoundTrip:

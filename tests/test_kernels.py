@@ -135,6 +135,14 @@ def test_tail_pivot_names_its_row():
         kernels.solve_spd_tridiagonal(*with_rowsum_entry(512, -1e6))
 
 
+def test_pivot_error_keeps_its_pivot_and_row():
+    # The solver names a reversed-order failure in mesh order from these.
+    with pytest.raises(np.linalg.LinAlgError) as failure:
+        kernels.solve_spd_tridiagonal(*with_rowsum_entry(512, -1e6))
+    assert failure.value.row == 512
+    assert failure.value.pivot < 0.0
+
+
 def test_solver_maps_reduction_failure_to_solver_error(base_problem, monkeypatch):
     # A negative convection makes every row sum negative: the matrix is
     # indefinite (the constant vector has negative energy).

@@ -38,7 +38,7 @@ from finopt.optimizer import (
 )
 from finopt.sensitivity import TIP_EXCLUSION
 from finopt.solver import assemble_fin_system, solve_temperature
-from conftest import ORACLE_H20, optimal_profile, rectangular_profile
+from conftest import DECADES, ORACLE_H20, optimal_profile, rectangular_profile
 
 N_CELLS = 1000
 
@@ -479,15 +479,6 @@ class TestLengthSearch:
 
 def _drawn_problem(log_k, log_h, log_area, log_q0):
     return FinProblem(k=10.0**log_k, h=10.0**log_h, area=10.0**log_area, q0=10.0**log_q0)
-
-
-DECADES = {
-    "log_k": st.floats(-1.0, 3.0),
-    "log_h": st.floats(0.0, 4.0),
-    "log_area": st.floats(-7.0, -3.0),
-    "log_q0": st.floats(-2.0, 3.0),
-    "log_n": st.floats(math.log10(4.0), 5.0),
-}
 
 
 class TestExactDiscreteLaws:
