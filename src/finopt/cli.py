@@ -197,12 +197,19 @@ def _threshold_checks(problem: FinProblem, check: OptimalityCheck,
     ]
 
 
-def _report_checks(checks: list[tuple[str, float, float]]) -> bool:
+def _report_checks(checks: list[tuple[str, float, float]],
+                   causes: dict[str, str] | None = None) -> bool:
+    """Print one PASS/FAIL line per check; a failed check names its cause.
+
+    causes maps a check's name to what makes it fail, if known.
+    """
+    causes = causes or {}
     all_ok = True
     for name, value, limit in checks:
         ok = value <= limit
         all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (limit {limit:.3e})")
+        cause = f": {causes[name]}" if not ok and name in causes else ""
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (limit {limit:.3e}){cause}")
     return all_ok
 
 
@@ -269,10 +276,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     write_temperature_csv(args.out_dir / "temperature.csv",
                           mesh.nodes, report.temperature.values)
 
+    support = report.certificate.support_faces
     print(f"optimized fin: L = {report.length:.6g} m, "
           f"compliance = {report.compliance:.6g} W K/m, "
-          f"support {report.certificate.support_faces} of {mesh.n_cells} faces")
-    return 0 if _report_checks(checks) else 1
+          f"support {support} of {mesh.n_cells} faces")
+    causes = {}
+    if support < 3:
+        # Fewer than two nodes lie between positive faces: nothing to fit.
+        causes["thickness_slope_err"] = (
+            f"the support has {support} face{'s' if support > 1 else ''}, "
+            f"and the taper fit needs at least three"
+        )
+    return 0 if _report_checks(checks, causes) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

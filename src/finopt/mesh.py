@@ -141,6 +141,18 @@ class ThicknessProfile:
     def with_values(self, values) -> "ThicknessProfile":
         return ThicknessProfile(self.mesh, values)
 
+    def _tip_first(self) -> "ThicknessProfile":
+        """The faces numbered from the tip, for the reversed-order solve.
+
+        Its values are a reversed view of this profile's checked, read-only
+        array, which cannot change under it: nothing is copied or checked
+        again.
+        """
+        profile = object.__new__(ThicknessProfile)
+        object.__setattr__(profile, "mesh", self.mesh)
+        object.__setattr__(profile, "values", self.values[::-1])
+        return profile
+
 
 @dataclass(frozen=True, eq=False)
 class TemperatureField:

@@ -596,10 +596,10 @@ def evaluate_profile_optimality(
 
     theta, if given, must be solve_temperature(problem, profile), and
     adjoint, if given, must solve the adjoint system; each one given saves
-    its solve.  A caller that passes theta as the adjoint uses the
-    self-adjointness of the compliance, and its selfadjoint_gap is 0;
-    solve_adjoint's own solve, in the reversed node order, measures the
-    kernel's rounding instead.  Faces in the tip exclusion zone are left
+    its solve.  A caller that passes theta itself as the adjoint uses the
+    self-adjointness of the compliance, and its selfadjoint_gap is 0, with
+    no arrays compared; solve_adjoint's own solve, in the reversed node
+    order, measures the kernel's rounding instead.  Faces in the tip exclusion zone are left
     out of the gradient-constancy and thickness-slope metrics (see
     sensitivity.TIP_EXCLUSION): a sampled taper is least resolved there,
     and zero faces past a support do not meet the pointwise conditions.
@@ -618,8 +618,11 @@ def evaluate_profile_optimality(
 
     tiny = float(np.finfo(np.float64).tiny)
     root = max(abs(theta.root_value), tiny)
-    gap = np.subtract(adjoint.values, theta.values)
-    selfadjoint_gap = float(np.max(np.abs(gap, out=gap))) / root
+    if adjoint is theta:
+        selfadjoint_gap = 0.0
+    else:
+        gap = np.subtract(adjoint.values, theta.values)
+        selfadjoint_gap = float(np.max(np.abs(gap, out=gap))) / root
 
     # The windows outside the tip exclusion zone lead the mesh, so they are
     # slices; only a zero face inside one makes a mask.
@@ -634,6 +637,7 @@ def evaluate_profile_optimality(
         grad_cv = math.inf
     else:
         grad_cv = float(np.std(slopes)) / abs(mean_slope)
+    del slopes  # the line fit below holds five support-long arrays at once
 
     # dt/dx is centered between faces, i.e. on interior nodes 1..nodes.
     nodes = interior_node_count(mesh)

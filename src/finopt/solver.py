@@ -53,20 +53,19 @@ def thickness_floor(problem: FinProblem, length: float) -> float:
 
 def assemble_fin_system(
     problem: FinProblem, profile: ThicknessProfile
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (rowsum, off, rhs) of the SPD tridiagonal system for theta.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build (rowsum, off) of the SPD tridiagonal system for theta.
 
     The row sums are the convection 2h * w_i at each node and the
     off-diagonal is minus the link conductances k * t_face / dx: the
     conductive fluxes cancel across each row, so the diagonal is never
-    formed (see kernels).
+    formed (see kernels).  The one load, q0 on the root's row 0, goes to
+    the kernel as a number.
     """
     mesh = profile.mesh
     convection = 2.0 * problem.h * mesh.node_weights
     off = -(problem.k * profile.values / mesh.dx)
-    rhs = np.zeros(mesh.n_nodes, dtype=np.float64)
-    rhs[0] = problem.q0
-    return convection, off, rhs
+    return convection, off
 
 
 def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:
@@ -86,13 +85,16 @@ def _checked_solve(
     reverse solves the same system with its nodes numbered tip first, so
     the kernel eliminates in another order and the root's load row comes
     last; the solution is returned in mesh order.  A failed pivot is named
-    by its row in mesh order.
+    by its row in mesh order.  The tip-first system is the assembly of the
+    reversed profile: the trapezoid weights read the same from either end,
+    so the row sums do too, and the kernel gets contiguous arrays.
     """
-    rowsum, off, rhs = assemble_fin_system(problem, profile)
     if reverse:
-        rowsum, off, rhs = rowsum[::-1], off[::-1], rhs[::-1]
+        profile = profile._tip_first()
+    rowsum, off = assemble_fin_system(problem, profile)
+    first, last = (0.0, problem.q0) if reverse else (problem.q0, 0.0)
     try:
-        theta = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+        theta = kernels.solve_spd_tridiagonal(rowsum, off, first, last)
     except np.linalg.LinAlgError as exc:
         error = exc
         if reverse:
@@ -101,10 +103,11 @@ def _checked_solve(
         raise SolverError(f"direct solve failed: {error}") from exc
     if reverse:
         theta = theta[::-1].copy()
-    if not np.all(np.isfinite(theta)):
-        raise SolverError("direct solve produced non-finite values")
     theta.flags.writeable = False  # the field keeps it without a copy
-    return TemperatureField(profile.mesh, theta)
+    try:
+        return TemperatureField(profile.mesh, theta)
+    except DomainError as exc:  # the field checks that every value is finite
+        raise SolverError("direct solve produced non-finite values") from exc
 
 
 def compliance(problem: FinProblem, field: TemperatureField) -> float:
@@ -126,7 +129,7 @@ def variational_compliance(
     """
     if field.mesh != profile.mesh:
         raise DomainError("temperature field and profile live on different meshes")
-    rowsum, off, _ = assemble_fin_system(problem, profile)
+    rowsum, off = assemble_fin_system(problem, profile)
     theta = field.values
     conduction = -off * np.square(np.diff(theta))
     convection = rowsum * np.square(theta)

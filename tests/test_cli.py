@@ -320,6 +320,28 @@ class TestOptimize:
         assert math.isnan(report["optimality"]["thickness_slope"])
         assert report["checks"]["thickness_slope_err"]["passed"] is False
 
+    @pytest.mark.parametrize(
+        "factor, support, cause",
+        [(1.5, 2, "the support has 2 faces"), (3.0, 1, "the support has 1 face,")],
+    )
+    def test_under_three_face_support_names_the_cause(
+        self, tmp_path, capsys, factor, support, cause
+    ):
+        # On 4 cells 1.5 L* fills two faces and 3 L* one: the slope check
+        # still fails, and its line says why.
+        code = main(["optimize", *BASE, "--h", "20",
+                     "--fixed-length", f"{factor * ORACLE_H20['L']!r}",
+                     "--n-cells", "4", "--out-dir", str(tmp_path)])
+        assert code == 1
+        (line,) = [
+            row for row in capsys.readouterr().out.splitlines()
+            if row.startswith("FAIL")
+        ]
+        assert line.startswith("FAIL thickness_slope_err: nan (limit 2.000e-02): ")
+        assert cause in line and line.endswith("the taper fit needs at least three")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["certificate"]["support_faces"] == support
+
     def test_too_coarse_mesh_exits_2(self, tmp_path, capsys):
         code = main(
             ["optimize", *BASE, "--h", "20", "--n-cells", "3",
@@ -467,9 +489,9 @@ class TestVerify:
         path = self._write_analytic_profile(tmp_path)
         solve = finopt.kernels.solve_spd_tridiagonal
 
-        def faulty_in_reverse(rowsum, off, rhs):
-            x = solve(rowsum, off, rhs)
-            return x * (1.0 + 1e-8) if rhs[-1] != 0.0 else x
+        def faulty_in_reverse(rowsum, off, first, last):
+            x = solve(rowsum, off, first, last)
+            return x * (1.0 + 1e-8) if last != 0.0 else x
 
         monkeypatch.setattr(finopt.kernels, "solve_spd_tridiagonal", faulty_in_reverse)
         code = main(["verify", str(path), *BASE, "--h", "20"])

@@ -1,7 +1,8 @@
 """Direct tests of the tridiagonal kernel.
 
-The oracles are the Thomas loop on row sums in extended precision and the
-discrete constant fin in closed form.
+The oracles are the cyclic reduction with a full right-hand side, the
+Thomas loop on row sums in extended precision and the discrete constant
+fin in closed form.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from finopt import (
     assemble_fin_system,
     kernels,
     optimize_profile,
+    solve_adjoint,
     solve_temperature,
 )
 from finopt.mesh import Mesh, ThicknessProfile
@@ -23,11 +25,20 @@ from conftest import draw_fin, optimal_profile, rectangular_profile
 
 
 def random_spd_system(n, seed):
+    """Diagonally dominant (so SPD) (rowsum, off, first, last)."""
     rng = np.random.default_rng(seed)
     off = -rng.uniform(0.1, 2.0, n - 1)
-    rowsum = rng.uniform(0.05, 1.0, n)  # diagonally dominant -> SPD
-    rhs = rng.standard_normal(n)
-    return rowsum, off, rhs
+    rowsum = rng.uniform(0.05, 1.0, n)
+    first, last = rng.standard_normal(2)
+    return rowsum, off, float(first), float(last)
+
+
+def end_load_rhs(n, first, last):
+    """The right-hand side first * e_0 + last * e_(n-1) as an array."""
+    rhs = np.zeros(n)
+    rhs[0] += first
+    rhs[-1] += last
+    return rhs
 
 
 def dense(rowsum, off):
@@ -39,38 +50,44 @@ def dense(rowsum, off):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1001])
 def test_matches_dense_solve(n):
-    rowsum, off, rhs = random_spd_system(n, seed=n)
-    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
-    x_ref = np.linalg.solve(dense(rowsum, off), rhs)
+    rowsum, off, first, last = random_spd_system(n, seed=n)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, first, last)
+    x_ref = np.linalg.solve(dense(rowsum, off), end_load_rhs(n, first, last))
     assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-14)
 
 
 def test_residual_is_small():
-    rowsum, off, rhs = random_spd_system(2000, seed=7)
-    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
+    rowsum, off, first, last = random_spd_system(2000, seed=7)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, first, last)
+    rhs = end_load_rhs(2000, first, last)
     r = dense(rowsum, off) @ x - rhs
     assert np.max(np.abs(r)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_scalar_system():
-    x = kernels.solve_spd_tridiagonal([4.0], [], [8.0])
+    x = kernels.solve_spd_tridiagonal([4.0], [], 8.0, 0.0)
     assert x.shape == (1,)
     assert x[0] == 2.0
+    # One row is both the first and the last: its load is the sum.
+    assert kernels.solve_spd_tridiagonal([4.0], [], 6.0, 2.0)[0] == 2.0
 
 
 def test_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        kernels.solve_spd_tridiagonal([1.0, 2.0], [0.1, 0.2], [1.0, 1.0])
+        kernels.solve_spd_tridiagonal([1.0, 2.0], [0.1, 0.2], 1.0, 1.0)
     with pytest.raises(ValueError):
-        kernels.solve_spd_tridiagonal([1.0, 2.0], [0.1], [1.0])
+        kernels.solve_spd_tridiagonal([1.0, 2.0], [], 1.0, 0.0)
     with pytest.raises(ValueError):
-        kernels.solve_spd_tridiagonal([], [], [])
+        kernels.solve_spd_tridiagonal([], [], 0.0, 0.0)
     # Lengths along the first axis match; the second axis must not be
     # broadcast through the solve.
     with pytest.raises(ValueError, match="1-D"):
         kernels.solve_spd_tridiagonal(
-            np.full((2, 2), 4.0), np.full((1, 2), -1.0), np.ones((2, 2))
+            np.full((2, 2), 4.0), np.full((1, 2), -1.0), 1.0, 1.0
         )
+    # The loads are numbers, not a right-hand side.
+    with pytest.raises(TypeError):
+        kernels.solve_spd_tridiagonal([1.0, 2.0], [0.1], [1.0, 1.0], 0.0)
 
 
 def test_rejects_non_spd_pivot():
@@ -78,9 +95,9 @@ def test_rejects_non_spd_pivot():
     # (1, 1) with off -2 has row sums -1; diagonal (-1, 1) with off 0 keeps
     # its diagonal as row sums.
     with pytest.raises(np.linalg.LinAlgError):
-        kernels.solve_spd_tridiagonal([-1.0, -1.0], [-2.0], [1.0, 1.0])
+        kernels.solve_spd_tridiagonal([-1.0, -1.0], [-2.0], 1.0, 1.0)
     with pytest.raises(np.linalg.LinAlgError):
-        kernels.solve_spd_tridiagonal([-1.0, 1.0], [0.0], [1.0, 1.0])
+        kernels.solve_spd_tridiagonal([-1.0, 1.0], [0.0], 1.0, 1.0)
 
 
 def indefinite_system(n=1001):
@@ -90,7 +107,7 @@ def indefinite_system(n=1001):
     """
     rowsum = np.full(n, -3.0)
     rowsum[[0, -1]] = -1.0
-    return rowsum, np.full(n - 1, -2.0), np.ones(n)
+    return rowsum, np.full(n - 1, -2.0), 1.0, 1.0
 
 
 def with_rowsum_entry(row, value, n=1001):
@@ -102,7 +119,7 @@ def with_rowsum_entry(row, value, n=1001):
     rowsum, off = np.full(n, 2.0), np.full(n - 1, -1.0)
     rowsum[[0, -1]] = 3.0
     rowsum[row] = value
-    return rowsum, off, np.ones(n)
+    return rowsum, off, 1.0, 1.0
 
 
 @pytest.mark.parametrize(
@@ -147,8 +164,8 @@ def test_solver_maps_reduction_failure_to_solver_error(base_problem, monkeypatch
     # A negative convection makes every row sum negative: the matrix is
     # indefinite (the constant vector has negative energy).
     def negative_convection(problem, profile):
-        convection, off, rhs = assemble_fin_system(problem, profile)
-        return -convection, off, rhs
+        convection, off = assemble_fin_system(problem, profile)
+        return -convection, off
 
     profile = rectangular_profile(base_problem, 1000)
     monkeypatch.setattr(finopt.solver, "assemble_fin_system", negative_convection)
@@ -158,6 +175,154 @@ def test_solver_maps_reduction_failure_to_solver_error(base_problem, monkeypatch
 
 def test_reports_one_backend():
     assert kernels.available_backends() == [kernels.get_backend()]
+
+
+# ---------------------------------------------------------------------------
+# The cyclic reduction with a full right-hand side as the oracle
+
+
+def reduction_with_rhs(rowsum, off, rhs):
+    """The kernel's reduction carrying an n-long right-hand side b.
+
+    Each level also reduces b: b_next = b_even - a b_odd_left - c
+    b_odd_right, and the back substitution starts each odd row from its b.
+    The kernel carries only the loads on the first and the last row, so
+    for such a b it must return the same bits.
+    """
+    s = np.asarray(rowsum, dtype=np.float64)
+    e = np.asarray(off, dtype=np.float64)
+    b = np.asarray(rhs, dtype=np.float64)
+    levels = []
+    while s.shape[0] > kernels.THOMAS_ROWS:
+        e_left, e_right, s_odd, b_odd = e[0::2], e[1::2], s[1::2], b[1::2]
+        n_odd, n_right = s_odd.shape[0], e_right.shape[0]
+        d_odd = s_odd - e_left
+        d_odd[:n_right] -= e_right
+        assert d_odd.min() > 0.0
+        a = e_left / d_odd
+        c = e_right / d_odd[:n_right]
+        s_next = s[0::2].copy()
+        s_next[:n_odd] -= a * s_odd
+        s_next[1:] -= c * s_odd[:n_right]
+        b_next = b[0::2].copy()
+        b_next[:n_odd] -= a * b_odd
+        b_next[1:] -= c * b_odd[:n_right]
+        levels.append((d_odd, e_left, e_right, b_odd))
+        s, e, b = s_next, np.negative(a[:n_right] * e_right), b_next
+
+    s, e, x = s.tolist(), e.tolist() + [0.0], b.tolist()
+    pivots = []
+    w = sigma = x_prev = 0.0
+    for i, s_i in enumerate(s):
+        sigma = s_i - w * sigma
+        x_prev = x[i] = x[i] - w * x_prev
+        p = sigma - e[i]
+        assert p > 0.0
+        pivots.append(p)
+        w = e[i] / p
+    x[-1] /= pivots[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / pivots[i]
+
+    result = np.empty(len(rowsum))
+    result[:: 1 << len(levels)] = x
+    for level in range(len(levels) - 1, -1, -1):
+        d_odd, e_left, e_right, b_odd = levels[level]
+        n_odd, n_right = d_odd.shape[0], e_right.shape[0]
+        step = 1 << level
+        even, odd = result[:: 2 * step], result[step :: 2 * step]
+        odd[:] = b_odd - e_left * even[:n_odd]
+        odd[:n_right] -= e_right * even[1:]
+        odd /= d_odd
+    return result
+
+
+def odd_last_rows(m):
+    """Levels l >= 1 of an m-row reduction whose last row is odd."""
+    levels, rows = [], m
+    while rows > kernels.THOMAS_ROWS:
+        if rows % 2 == 0 and rows != m:
+            levels.append(rows)
+        rows = (rows + 1) // 2
+    return levels
+
+
+#: Every size to 300, and sizes about the powers of two and a few thousand.
+BITWISE_SIZES = sorted(
+    set(range(1, 301))
+    | {2**k + d for k in range(7, 13) for d in range(-2, 3)}
+    | {1000, 1001, 1002, 1003, 3000, 3001, 3002}
+)
+
+
+def assert_same_bits(x, ref):
+    assert x.dtype == ref.dtype == np.float64
+    assert x.tobytes() == ref.tobytes()
+
+
+def test_end_loads_match_full_rhs_bitwise():
+    # Loads on row 0, on row m - 1 and on both; an odd last row passes its
+    # load to the next level's last row.
+    assert sum(1 for m in BITWISE_SIZES if odd_last_rows(m)) > 100
+    for m in BITWISE_SIZES:
+        rowsum, off, first, last = random_spd_system(m, seed=m)
+        for loads in ((first, 0.0), (0.0, last), (first, last)):
+            x = kernels.solve_spd_tridiagonal(rowsum, off, *loads)
+            ref = reduction_with_rhs(rowsum, off, end_load_rhs(m, *loads))
+            assert_same_bits(x, ref)
+
+
+@pytest.mark.parametrize("m", [65, 130, 1000, 4097])
+def test_zero_links_match_full_rhs_bitwise(m):
+    # A zero link, +0 or -0 as a zero face assembles, cuts the system; the
+    # rows cut off from a load get exact zeros, with their signs.
+    rowsum, off, first, last = random_spd_system(m, seed=m)
+    rng = np.random.default_rng(m)
+    cut = rng.random(m - 1) < 0.1
+    off[cut] = np.where(rng.random(cut.sum()) < 0.5, 0.0, -0.0)
+    off[m // 2 : 3 * m // 4] = -0.0
+    for loads in ((first, 0.0), (0.0, last), (first, last)):
+        x = kernels.solve_spd_tridiagonal(rowsum, off, *loads)
+        assert np.any(x == 0.0)
+        assert_same_bits(x, reduction_with_rhs(rowsum, off, end_load_rhs(m, *loads)))
+
+
+def test_fin_system_matches_full_rhs_bitwise_in_both_orders():
+    # 1e5 rows of the long fin, with its tail of zero faces.  Tip first the
+    # row sums read the same, and the off-diagonal is the reversed one.
+    problem = FIN_PROBLEMS["k200-h20"]
+    profile = long_fin_profile("k200-h20", 100000)
+    rowsum, off = assemble_fin_system(problem, profile)
+    rhs = end_load_rhs(rowsum.shape[0], problem.q0, 0.0)
+    theta = kernels.solve_spd_tridiagonal(rowsum, off, problem.q0, 0.0)
+    assert_same_bits(theta, reduction_with_rhs(rowsum, off, rhs))
+    assert_same_bits(theta, solve_temperature(problem, profile).values)
+
+    tip_first = ThicknessProfile(profile.mesh, profile.values[::-1])
+    rowsum_r, off_r = assemble_fin_system(problem, tip_first)
+    assert rowsum_r.tobytes() == rowsum[::-1].tobytes()
+    assert off_r.tobytes() == off[::-1].tobytes()
+    w = kernels.solve_spd_tridiagonal(rowsum_r, off_r, 0.0, problem.q0)
+    assert_same_bits(w, reduction_with_rhs(rowsum[::-1], off[::-1], rhs[::-1]))
+    assert_same_bits(w[::-1].copy(), solve_adjoint(problem, profile).values)
+
+
+@pytest.mark.parametrize("solve", [solve_temperature, solve_adjoint])
+def test_solves_hand_the_kernel_contiguous_arrays(base_problem, monkeypatch, solve):
+    # Tip first too: the kernel copies no reversed view.
+    seen = []
+    kernel = kernels.solve_spd_tridiagonal
+
+    def recording(rowsum, off, first, last):
+        seen.append((rowsum, off))
+        return kernel(rowsum, off, first, last)
+
+    monkeypatch.setattr(kernels, "solve_spd_tridiagonal", recording)
+    solve(base_problem, rectangular_profile(base_problem, 1000))
+    ((rowsum, off),) = seen
+    for array in (rowsum, off):
+        assert isinstance(array, np.ndarray) and array.dtype == np.float64
+        assert array.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +363,9 @@ LONG_DOUBLE_RTOL = 1e-15
 
 def test_tail_agrees_with_long_double_up_to_cutoff():
     for n in range(1, kernels.THOMAS_ROWS + 1):
-        rowsum, off, rhs = random_spd_system(n, seed=n)
-        x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
-        ref = thomas_longdouble(rowsum, off, rhs)
+        rowsum, off, first, last = random_spd_system(n, seed=n)
+        x = kernels.solve_spd_tridiagonal(rowsum, off, first, last)
+        ref = thomas_longdouble(rowsum, off, end_load_rhs(n, first, last))
         assert np.max(np.abs(x - ref)) <= LONG_DOUBLE_RTOL * np.max(np.abs(ref)), n
 
 
@@ -211,9 +376,9 @@ ORACLE_SIZES = sorted(
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_agrees_with_thomas(n):
-    rowsum, off, rhs = random_spd_system(n, seed=1000 + n)
-    x = kernels.solve_spd_tridiagonal(rowsum, off, rhs)
-    ref = thomas_longdouble(rowsum, off, rhs)
+    rowsum, off, first, last = random_spd_system(n, seed=1000 + n)
+    x = kernels.solve_spd_tridiagonal(rowsum, off, first, last)
+    ref = thomas_longdouble(rowsum, off, end_load_rhs(n, first, last))
     assert np.max(np.abs(x - ref)) <= LONG_DOUBLE_RTOL * np.max(np.abs(ref))
 
 
@@ -269,9 +434,10 @@ def test_fin_root_error_against_long_double(name, kind, n):
     else:
         profile = long_fin_profile(name, n)
         assert np.any(profile.values == 0.0)
-    rowsum, off, rhs = assemble_fin_system(problem, profile)
+    rowsum, off = assemble_fin_system(problem, profile)
+    rhs = end_load_rhs(rowsum.shape[0], problem.q0, 0.0)
     root = float(thomas_longdouble(rowsum, off, rhs)[0])
-    reduction = kernels.solve_spd_tridiagonal(rowsum, off, rhs)[0]
+    reduction = kernels.solve_spd_tridiagonal(rowsum, off, problem.q0, 0.0)[0]
     assert abs(reduction - root) <= ROOT_RTOL * root
 
 

@@ -870,12 +870,11 @@ def _heat_rate(problem, profile, theta0):
     The nodes past the root are solved with theta0 as a boundary value; the
     heat rate is what the fin sheds, a sum of positive terms.
     """
-    convection, off, _ = assemble_fin_system(problem, profile)
+    convection, off = assemble_fin_system(problem, profile)
     # Row 1's link to the root moves to the right-hand side, but its
     # conductance stays on row 1's diagonal, so the row sum gains it.
     rowsum = convection[1:].copy()
     rowsum[0] -= off[0]
-    rhs = np.zeros(rowsum.size)
-    rhs[0] = -off[0] * theta0
-    theta = np.concatenate(([theta0], kernels.solve_spd_tridiagonal(rowsum, off[1:], rhs)))
+    rest = kernels.solve_spd_tridiagonal(rowsum, off[1:], -off[0] * theta0, 0.0)
+    theta = np.concatenate(([theta0], rest))
     return 2.0 * problem.h * math.fsum(theta * profile.mesh.node_weights)

@@ -92,28 +92,31 @@ class TestSelfAdjointness:
         loads = []
         solve = finopt.kernels.solve_spd_tridiagonal
 
-        def recording(rowsum, off, rhs):
-            loads.append(np.array(rhs))
-            return solve(rowsum, off, rhs)
+        def recording(rowsum, off, first, last):
+            loads.append((first, last))
+            return solve(rowsum, off, first, last)
 
         monkeypatch.setattr(finopt.kernels, "solve_spd_tridiagonal", recording)
         w = solve_adjoint(base_problem, profile)
-        (rhs,) = loads
-        assert rhs[-1] == base_problem.q0 and not np.any(rhs[:-1])
+        ((first, last),) = loads
+        assert last == base_problem.q0 and first == 0.0
         assert w.values[0] > w.values[-1]
 
     def test_reversed_solve_names_failed_row_in_mesh_order(
         self, base_problem, monkeypatch
     ):
-        # Row 499 of 1001 gets a zero diagonal; reversed it is row 501.
+        # Row 499 of 1001 gets a zero diagonal; reversed it is row 501.  The
+        # adjoint assembles the reversed profile, whose rows come tip first.
         profile = rectangular_profile(base_problem, 1000)
         rowsum, off = np.full(1001, 2.0), np.full(1000, -1.0)
         rowsum[[0, -1]] = 3.0
         rowsum[499] = -2.0
-        monkeypatch.setattr(
-            finopt.solver, "assemble_fin_system",
-            lambda problem, profile: (rowsum, off, np.eye(1, 1001)[0]),
-        )
+
+        def faulty(problem, assembled):
+            in_mesh_order = assembled is profile
+            return (rowsum if in_mesh_order else rowsum[::-1]), off
+
+        monkeypatch.setattr(finopt.solver, "assemble_fin_system", faulty)
         for solve in (solve_temperature, solve_adjoint):
             with pytest.raises(SolverError, match=r"at row 499\)$"):
                 solve(base_problem, profile)
@@ -122,7 +125,7 @@ class TestSelfAdjointness:
         profile = rectangular_profile(base_problem, 100)
         monkeypatch.setattr(
             finopt.kernels, "solve_spd_tridiagonal",
-            lambda rowsum, off, rhs: np.full(rowsum.shape[0], np.nan),
+            lambda rowsum, off, first, last: np.full(rowsum.shape[0], np.nan),
         )
         with pytest.raises(SolverError, match="non-finite"):
             solve_adjoint(base_problem, profile)

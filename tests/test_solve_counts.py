@@ -25,6 +25,7 @@ from finopt import (
     variational_compliance,
 )
 from finopt.cli import main
+from finopt.mesh import TemperatureField
 from conftest import (
     DECADES,
     ORACLE_H20,
@@ -47,9 +48,9 @@ def solves(monkeypatch):
     calls = []
     solve = finopt.kernels.solve_spd_tridiagonal
 
-    def counted(rowsum, off, rhs):
+    def counted(rowsum, off, first, last):
         calls.append(len(rowsum))
-        return solve(rowsum, off, rhs)
+        return solve(rowsum, off, first, last)
 
     monkeypatch.setattr(finopt.kernels, "solve_spd_tridiagonal", counted)
     return calls
@@ -116,6 +117,21 @@ def test_metrics_take_the_temperature_as_adjoint(run, log_k, log_h, log_area, lo
         evaluate_profile_optimality(problem, report.profile, theta, adjoint=theta),
     )
     assert report.optimality.selfadjoint_gap == 0.0
+
+
+def test_only_theta_itself_skips_the_gap_arithmetic(problem):
+    # Any other adjoint object is compared with theta, even an equal one.
+    profile = random_feasible_profile(problem, 500, seed=4)
+    theta = solve_temperature(problem, profile)
+    check = evaluate_profile_optimality(problem, profile, theta, adjoint=theta)
+    assert np.float64(check.selfadjoint_gap).tobytes() == np.float64(0.0).tobytes()
+    equal = TemperatureField(theta.mesh, theta.values.copy())
+    assert evaluate_profile_optimality(
+        problem, profile, theta, adjoint=equal
+    ).selfadjoint_gap == 0.0
+    off = TemperatureField(theta.mesh, theta.values + 1e-9 * theta.root_value)
+    gap = evaluate_profile_optimality(problem, profile, theta, adjoint=off).selfadjoint_gap
+    assert gap == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_history_reads_the_constant_start():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finopt.kernels
 from finopt import (
     DomainError,
     FinProblem,
@@ -36,7 +37,7 @@ from conftest import (
 class TestAssembly:
     def test_matrix_is_spd_tridiagonal(self, base_problem):
         profile = rectangular_profile(base_problem, 50)
-        rowsum, off, rhs = assemble_fin_system(base_problem, profile)
+        rowsum, off = assemble_fin_system(base_problem, profile)
         assert rowsum.shape == (51,)
         assert off.shape == (50,)
         assert np.all(off < 0.0)
@@ -46,11 +47,19 @@ class TestAssembly:
         assert np.array_equal(rowsum, 2.0 * base_problem.h * mesh.node_weights)
         assert np.all(rowsum > 0.0)
 
-    def test_rhs_is_root_load_only(self, base_problem):
+    def test_rhs_is_root_load_only(self, base_problem, monkeypatch):
+        # The one load, q0 on the root's row, goes to the kernel as a number.
         profile = rectangular_profile(base_problem, 20)
-        _, _, rhs = assemble_fin_system(base_problem, profile)
-        assert rhs[0] == base_problem.q0
-        assert np.all(rhs[1:] == 0.0)
+        loads = []
+        solve = finopt.kernels.solve_spd_tridiagonal
+
+        def recording(rowsum, off, first, last):
+            loads.append((first, last))
+            return solve(rowsum, off, first, last)
+
+        monkeypatch.setattr(finopt.kernels, "solve_spd_tridiagonal", recording)
+        solve_temperature(base_problem, profile)
+        assert loads == [(base_problem.q0, 0.0)]
 
 
 class TestUniformFinOracle:
@@ -235,7 +244,9 @@ class TestFloorAndFailure:
         theta = solve_temperature(base_problem, profile)
         assert np.all(theta.values[zero_from + 1 :] == 0.0)
         assert np.all(theta.values[: zero_from + 1] > 0.0)
-        rowsum, off, rhs = assemble_fin_system(base_problem, profile)
+        rowsum, off = assemble_fin_system(base_problem, profile)
+        rhs = np.zeros(51)
+        rhs[0] = base_problem.q0
         matrix = np.diag(rowsum) + np.diag(off, 1) + np.diag(off, -1)
         matrix[np.arange(1, 51), np.arange(1, 51)] -= off
         matrix[np.arange(50), np.arange(50)] -= off
@@ -300,7 +311,7 @@ class TestRefinementStudyPaths:
 
 def _exactly_summed_variational_compliance(problem, profile, theta):
     """2 b.theta - theta.A.theta with both energy sums exactly rounded: the oracle."""
-    rowsum, off, _ = assemble_fin_system(problem, profile)
+    rowsum, off = assemble_fin_system(problem, profile)
     values = theta.values
     conduction = -off * np.square(np.diff(values))
     convection = rowsum * np.square(values)
