@@ -13,7 +13,13 @@ every length, but theta(tip) = 0 only at the optimal length, so an
 optimize run with --fixed-length reports tip_temp_ratio without checking
 it; a length run and verify check all four.  The slope is fitted only
 where both neighbouring faces are positive, so the zero faces past a
-support do not count.  optimize also checks the certificate.
+support do not count; when that leaves nothing to fit, the slope is NaN
+and the FAIL line of either command names the cause from the profile's
+positive faces.  optimize also checks the certificate.
+
+optimize's profile.csv has a row at x = 0, one at each face and one at
+x = L, so verify on the same number of cells reads every face back
+exactly and reproduces the run's compliance.
 
 Exit codes: 0 success, 1 numerical failure or failed optimality checks,
 2 usage or configuration errors.
@@ -179,37 +185,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _threshold_checks(problem: FinProblem, check: OptimalityCheck,
-                      check_tip: bool) -> list[tuple[str, float, float]]:
-    """(name, value, limit) of each optimality check; a NaN value fails.
+def _threshold_checks(problem: FinProblem, profile: ThicknessProfile,
+                      check: OptimalityCheck, check_tip: bool
+                      ) -> list[tuple[str, float, float, str]]:
+    """(name, value, limit, cause) of each optimality check; a NaN value fails.
 
     theta(tip) = 0 holds only at the optimal length, so tip_temp_ratio is
-    checked only where the length is meant to be optimal (check_tip).
+    checked only where the length is meant to be optimal (check_tip).  The
+    cause says what makes a check fail, where that is known: a NaN slope
+    means the taper fit had fewer than two nodes between positive faces.
     """
     slope_target = 2.0 * problem.h / problem.k
     slope_err = abs(check.thickness_slope - slope_target) / slope_target
-    tip = [("tip_temp_ratio", check.tip_temp_ratio, MAX_TIP_RATIO)] if check_tip else []
+    slope_cause = ""
+    if np.isnan(slope_err):
+        support = int(np.count_nonzero(profile.values))
+        slope_cause = (
+            f"the support has {support} face{'s' if support != 1 else ''}, "
+            "and the taper fit needs at least three" if support < 3 else
+            "fewer than two interior nodes outside the tip zone lie between "
+            "positive faces"
+        )
+    tip = [("tip_temp_ratio", check.tip_temp_ratio, MAX_TIP_RATIO, "")] if check_tip else []
     return [
-        ("grad_temp_cv", check.grad_temp_cv, MAX_GRAD_CV),
+        ("grad_temp_cv", check.grad_temp_cv, MAX_GRAD_CV, ""),
         *tip,
-        ("thickness_slope_err", slope_err, MAX_SLOPE_ERR),
-        ("selfadjoint_gap", check.selfadjoint_gap, MAX_SELFADJOINT_GAP),
+        ("thickness_slope_err", slope_err, MAX_SLOPE_ERR, slope_cause),
+        ("selfadjoint_gap", check.selfadjoint_gap, MAX_SELFADJOINT_GAP, ""),
     ]
 
 
-def _report_checks(checks: list[tuple[str, float, float]],
-                   causes: dict[str, str] | None = None) -> bool:
-    """Print one PASS/FAIL line per check; a failed check names its cause.
-
-    causes maps a check's name to what makes it fail, if known.
-    """
-    causes = causes or {}
+def _report_checks(checks: list[tuple[str, float, float, str]]) -> bool:
+    """Print one PASS/FAIL line per check; a failed check names its cause."""
     all_ok = True
-    for name, value, limit in checks:
+    for name, value, limit, cause in checks:
         ok = value <= limit
         all_ok = all_ok and ok
-        cause = f": {causes[name]}" if not ok and name in causes else ""
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (limit {limit:.3e}){cause}")
+        suffix = f": {cause}" if cause else ""  # only a failed check has a cause
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (limit {limit:.3e}){suffix}")
     return all_ok
 
 
@@ -226,7 +239,7 @@ def _optimize_payload(report, breakdown, checks, args) -> dict:
         "optimality": dataclasses.asdict(report.optimality),
         "checks": {
             name: {"value": value, "limit": limit, "passed": value <= limit}
-            for name, value, limit in checks
+            for name, value, limit, _ in checks
         },
         "versions": {
             "finopt": __version__,
@@ -255,24 +268,24 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         report = optimize_length(problem, options)
 
     breakdown = resistance_breakdown(problem, report.compliance, report.length)
-    checks = _threshold_checks(problem, report.optimality,
+    checks = _threshold_checks(problem, report.profile, report.optimality,
                                check_tip=args.fixed_length is None)
     # No zero face past the support may want to grow: its gradient density,
     # over the multiplier, stays at most 1 up to the solve's rounding.
     checks.append(("certificate", report.certificate.floored_density_ratio,
-                   1.0 + DENSITY_SLACK))
+                   1.0 + DENSITY_SLACK, ""))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_json(args.out_dir / "report.json",
                _optimize_payload(report, breakdown, checks, args))
-    # thickness lives at face midpoints; the table spans [0, L] node-wise so
-    # the file can be fed straight back into the verify subcommand
-    mesh = report.profile.mesh
-    t_f = report.profile.values
-    t_nodes = np.interp(mesh.nodes, mesh.faces, t_f)
-    t_nodes[0] = max(1.5 * t_f[0] - 0.5 * t_f[1], 0.0)
-    t_nodes[-1] = max(1.5 * t_f[-1] - 0.5 * t_f[-2], 0.0)
-    write_profile_csv(args.out_dir / "profile.csv", mesh.nodes, t_nodes)
+    # Thickness lives on the faces.  The table holds every face value, framed
+    # by rows at 0 and L extrapolated from the end faces, so verify on the
+    # same mesh interpolates each face back to its own value.
+    mesh, t_f = report.profile.mesh, report.profile.values
+    root, tip = max(1.5 * t_f[0] - 0.5 * t_f[1], 0.0), max(1.5 * t_f[-1] - 0.5 * t_f[-2], 0.0)
+    write_profile_csv(args.out_dir / "profile.csv",
+                      np.concatenate(([0.0], mesh.faces, [mesh.length])),
+                      np.concatenate(([root], t_f, [tip])))
     write_temperature_csv(args.out_dir / "temperature.csv",
                           mesh.nodes, report.temperature.values)
 
@@ -280,14 +293,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"optimized fin: L = {report.length:.6g} m, "
           f"compliance = {report.compliance:.6g} W K/m, "
           f"support {support} of {mesh.n_cells} faces")
-    causes = {}
-    if support < 3:
-        # Fewer than two nodes lie between positive faces: nothing to fit.
-        causes["thickness_slope_err"] = (
-            f"the support has {support} face{'s' if support > 1 else ''}, "
-            f"and the taper fit needs at least three"
-        )
-    return 0 if _report_checks(checks, causes) else 1
+    return 0 if _report_checks(checks) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -306,7 +312,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     breakdown = resistance_breakdown(problem, compliance(problem, theta), length)
     print(f"profile: L = {length:.6g} m, area = {profile.area:.6g} m^2, "
           f"biot = {breakdown.biot:.4g}")
-    checks = _threshold_checks(problem, check, check_tip=True)
+    checks = _threshold_checks(problem, profile, check, check_tip=True)
     return 0 if _report_checks(checks) else 1
 
 

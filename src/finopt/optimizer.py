@@ -589,17 +589,17 @@ def optimize_length(
 def evaluate_profile_optimality(
     problem: FinProblem,
     profile: ThicknessProfile,
-    theta: TemperatureField | None = None,
+    theta: TemperatureField,
     adjoint: TemperatureField | None = None,
 ) -> OptimalityCheck:
     """Compute the optimality residual metrics for one profile.
 
-    theta, if given, must be solve_temperature(problem, profile), and
-    adjoint, if given, must solve the adjoint system; each one given saves
-    its solve.  A caller that passes theta itself as the adjoint uses the
+    theta must be solve_temperature(problem, profile), and adjoint, if
+    given, must solve the adjoint system; without one, solve_adjoint's own
+    solve, in the reversed node order, measures the kernel's rounding.  A
+    caller that passes theta itself as the adjoint uses the
     self-adjointness of the compliance, and its selfadjoint_gap is 0, with
-    no arrays compared; solve_adjoint's own solve, in the reversed node
-    order, measures the kernel's rounding instead.  Faces in the tip exclusion zone are left
+    no arrays compared.  Faces in the tip exclusion zone are left
     out of the gradient-constancy and thickness-slope metrics (see
     sensitivity.TIP_EXCLUSION): a sampled taper is least resolved there,
     and zero faces past a support do not meet the pointwise conditions.
@@ -607,9 +607,7 @@ def evaluate_profile_optimality(
     faces that carry heat.
     """
     mesh = profile.mesh
-    if theta is None:
-        theta = solve_temperature(problem, profile)
-    elif theta.mesh != mesh:
+    if theta.mesh != mesh:
         raise DomainError("temperature field and profile live on different meshes")
     if adjoint is None:
         adjoint = solve_adjoint(problem, profile)

@@ -36,7 +36,6 @@ __all__ = [
     "SensitivityField",
     "compliance_gradient",
     "finite_difference_gradient",
-    "interior_face_mask",
     "solve_adjoint",
 ]
 
@@ -72,11 +71,6 @@ def interior_face_count(mesh: Mesh) -> int:
 def interior_node_count(mesh: Mesh) -> int:
     """Number of interior nodes 1, 2, ... outside the tip exclusion zone."""
     return _leading_outside_tip(mesh, 1.0, mesh.n_cells - 1)
-
-
-def interior_face_mask(mesh: Mesh) -> np.ndarray:
-    """Boolean mask of faces outside the tip exclusion zone."""
-    return np.arange(mesh.n_cells) < interior_face_count(mesh)
 
 
 def solve_adjoint(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, SolverError
-from .mesh import Mesh, TemperatureField, ThicknessProfile
+from .mesh import TemperatureField, ThicknessProfile
 from .problem import FinProblem
 
 __all__ = [
@@ -126,6 +126,11 @@ def variational_compliance(
     relative.  The quadratic form, from the assembled operator, is two sums
     of nonnegative terms; numpy's pairwise summation keeps each within
     about ceil(log2 n) eps of the exact sum.
+
+    The conduction energy differences theta, which cancels on a short fin:
+    for k = 200, h = 20 at 1e-8 L* on 1e5 cells it returns -1.41e11 for an
+    exact theta whose q0 theta0 is 5.93e9.  The package reports q0 theta0
+    and calls this nowhere; only tests and the benchmark's tracer use it.
     """
     if field.mesh != profile.mesh:
         raise DomainError("temperature field and profile live on different meshes")
@@ -155,30 +160,29 @@ def energy_balance_residual(
 class ConvergenceStudy:
     """Observed-order estimate from a mesh refinement sequence.
 
-    order is None when the data cannot support an estimate (non-monotone
-    errors, identical values across meshes); inconclusive says why in note.
+    order is None when the errors cannot support an estimate (an error
+    that vanishes, or errors that do not shrink); note says why.
     """
 
     n_cells: tuple[int, ...]
     values: tuple[float, ...]
-    errors: tuple[float, ...] | None
+    errors: tuple[float, ...]
     order: float | None
-    inconclusive: bool
     note: str = ""
 
 
 def refine_and_estimate_order(
     problem: FinProblem,
     profile_generator: Callable[[int], ThicknessProfile],
-    n_cells: Sequence[int] = (250, 500, 1000),
-    exact: float | None = None,
+    n_cells: Sequence[int],
+    exact: float,
 ) -> ConvergenceStudy:
     """Estimate the observed convergence order of the root temperature theta(0).
 
     profile_generator(n) must return a profile on an n-cell mesh of a fixed
-    length; values holds theta(0) of each mesh's solve.  With a known exact value the order is the least-squares slope
-    of log error versus log dx; without one, a Richardson-style estimate
-    from successive differences (requiring a constant refinement ratio).
+    length; values holds theta(0) of each mesh's solve, and errors their
+    distance from the exact value.  The order is the least-squares slope
+    of log error versus log dx.
     """
     ns = tuple(int(n) for n in n_cells)
     if len(ns) < 3:
@@ -196,37 +200,12 @@ def refine_and_estimate_order(
         values.append(solve_temperature(problem, profile).root_value)
     values = tuple(values)
 
-    if exact is not None:
-        errors = tuple(abs(v - exact) for v in values)
-        if any(e == 0.0 for e in errors):
-            return ConvergenceStudy(
-                ns, values, errors, None, True, "error vanished at some mesh"
-            )
-        if any(b >= a for a, b in zip(errors, errors[1:])):
-            return ConvergenceStudy(
-                ns, values, errors, None, True, "errors are not monotonically decreasing"
-            )
-        slope = np.polyfit(np.log(np.asarray(ns, dtype=np.float64)), np.log(errors), 1)[0]
-        return ConvergenceStudy(ns, values, errors, float(-slope), False)
-
-    ratios = [b / a for a, b in zip(ns, ns[1:])]
-    if any(abs(r - ratios[0]) > 1e-12 * ratios[0] for r in ratios):
-        raise DomainError("Richardson estimate needs a constant refinement ratio")
-    diffs = [a - b for a, b in zip(values, values[1:])]
-    if any(d == 0.0 for d in diffs):
+    errors = tuple(abs(v - exact) for v in values)
+    if any(e == 0.0 for e in errors):
+        return ConvergenceStudy(ns, values, errors, None, "error vanished at some mesh")
+    if any(b >= a for a, b in zip(errors, errors[1:])):
         return ConvergenceStudy(
-            ns, values, None, None, True, "values identical across meshes"
+            ns, values, errors, None, "errors are not monotonically decreasing"
         )
-    if any(d1 * d2 <= 0.0 for d1, d2 in zip(diffs, diffs[1:])):
-        return ConvergenceStudy(
-            ns, values, None, None, True, "successive differences change sign"
-        )
-    if any(abs(d2) >= abs(d1) for d1, d2 in zip(diffs, diffs[1:])):
-        return ConvergenceStudy(
-            ns, values, None, None, True, "successive differences are not shrinking"
-        )
-    orders = [
-        np.log(abs(d1 / d2)) / np.log(ratios[0])
-        for d1, d2 in zip(diffs, diffs[1:])
-    ]
-    return ConvergenceStudy(ns, values, None, float(np.mean(orders)), False)
+    slope = np.polyfit(np.log(np.asarray(ns, dtype=np.float64)), np.log(errors), 1)[0]
+    return ConvergenceStudy(ns, values, errors, float(-slope))

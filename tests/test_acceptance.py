@@ -17,7 +17,6 @@ from finopt import (
     compliance_gradient,
     duffin_equivalent_flux,
     energy_balance_residual,
-    evaluate_profile_optimality,
     optimal_compliance,
     optimal_length,
     optimal_resistance_breakdown,
@@ -30,7 +29,7 @@ from finopt import (
     solve_adjoint,
     solve_temperature,
 )
-from finopt.sensitivity import interior_face_mask
+from finopt.sensitivity import interior_face_count
 from conftest import (
     ORACLE_RECT,
     cosh_theta,
@@ -94,7 +93,7 @@ def test_criterion_02_uniform_fin_oracle_and_order(problem):
         exact=ORACLE_RECT["theta0"],
         n_cells=(250, 500, 1000),
     )
-    ok = max_rel <= 1e-3 and not study.inconclusive and study.order >= 1.8
+    ok = max_rel <= 1e-3 and study.order is not None and study.order >= 1.8
     check(2, "uniform-fin oracle", ok,
           f"max rel err={max_rel:.3e} observed order={study.order:.3f}")
 
@@ -145,8 +144,8 @@ def test_criterion_06_adjoint_vs_finite_differences(problem):
     grad = compliance_gradient(problem, profile, theta, w)
     step = 1e-6 * profile.values[0]
     worst = 0.0
-    for f in np.flatnonzero(interior_face_mask(profile.mesh)):
-        fd = finite_difference_gradient(problem, profile, int(f), step)
+    for f in range(interior_face_count(profile.mesh)):
+        fd = finite_difference_gradient(problem, profile, f, step)
         worst = max(worst, abs(fd - grad.values[f]) / abs(grad.values[f]))
     ok = worst <= 1e-5
     check(6, "adjoint vs finite differences", ok, f"worst interior rel err={worst:.3e}")

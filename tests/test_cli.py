@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import finopt
+import finopt.cli
 import finopt.kernels
 import finopt.optimizer
+import finopt.tables
 from finopt.cli import _h_label, build_parser, main
 from finopt.tables import read_profile_csv
 from conftest import ORACLE_H20
@@ -269,7 +271,7 @@ class TestOptimize:
         # limit; a metric over it fails the run.
         exact_metrics = finopt.optimizer.evaluate_profile_optimality
 
-        def warm_tip(problem, profile, theta=None, adjoint=None):
+        def warm_tip(problem, profile, theta, adjoint=None):
             check = exact_metrics(problem, profile, theta, adjoint=adjoint)
             return dataclasses.replace(check, tip_temp_ratio=0.5)
 
@@ -501,7 +503,76 @@ class TestVerify:
         assert "FAIL grad_temp_cv" not in out
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_face_profile_names_the_cause(self, tmp_path, capsys):
+        # On 4 cells the table's faces read 1.5e-3, 5e-4, 0 and 0: one node
+        # lies between positive faces, too few to fit a slope.
+        path = tmp_path / "two-face.csv"
+        path.write_text("x,t\n0,2e-3\n0.05,1e-3\n0.1,0\n0.15,0\n0.2,0\n")
+        code = main(["verify", str(path), *BASE, "--h", "20", "--n-cells", "4"])
+        assert code == 1
+        (line,) = [
+            row for row in capsys.readouterr().out.splitlines()
+            if row.startswith("FAIL")
+        ]
+        assert line == (
+            "FAIL thickness_slope_err: nan (limit 2.000e-02): the support has "
+            "2 faces, and the taper fit needs at least three"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_slope_on_more_faces_names_the_cause(self, tmp_path, capsys):
+        # Every other face is zero: five faces are positive, but no node
+        # lies between two of them.
+        mesh = finopt.Mesh(10, 0.2)
+        t = np.where(np.arange(10) % 2 == 0, 1e-3, 0.0)
+        path = tmp_path / "alternating.csv"
+        finopt.tables.write_profile_csv(
+            path, np.concatenate(([0.0], mesh.faces, [mesh.length])),
+            np.concatenate(([1e-3], t, [0.0])),
+        )
+        code = main(["verify", str(path), *BASE, "--h", "20", "--n-cells", "10"])
+        assert code == 1
+        assert (
+            "FAIL thickness_slope_err: nan (limit 2.000e-02): fewer than two "
+            "interior nodes outside the tip zone lie between positive faces\n"
+        ) in capsys.readouterr().out
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("n_cells", [4, 5, 1000])
+    @pytest.mark.parametrize("factor", [None, 0.5, 3.0])
+    def test_verify_reads_the_optimized_faces_bitwise(
+        self, tmp_path, monkeypatch, n_cells, factor
+    ):
+        # profile.csv holds every face value; verify on the same mesh
+        # interpolates each back to itself and solves the same system.
+        problem = finopt.FinProblem(k=200.0, h=20.0, area=1.6e-4, q0=20.0)
+        options = finopt.OptimizerOptions(n_cells)
+        args = ["--n-cells", str(n_cells), "--out-dir", str(tmp_path)]
+        if factor is None:
+            report = finopt.optimize_length(problem, options)
+        else:
+            length = factor * finopt.optimal_length(problem)
+            report = finopt.optimize_profile(problem, length, options)
+            args += ["--fixed-length", repr(length)]
+        main(["optimize", *BASE, "--h", "20", *args])
+
+        seen = []
+        metrics = finopt.cli.evaluate_profile_optimality
+
+        def record(problem, profile, theta, adjoint=None):
+            seen.append((profile, theta))
+            return metrics(problem, profile, theta, adjoint)
+
+        monkeypatch.setattr(finopt.cli, "evaluate_profile_optimality", record)
+        main(["verify", str(tmp_path / "profile.csv"), *BASE, "--h", "20",
+              "--n-cells", str(n_cells)])
+        ((profile, theta),) = seen
+        assert profile.mesh == report.profile.mesh
+        assert profile.values.tobytes() == report.profile.values.tobytes()
+        assert problem.q0 * theta.root_value == report.compliance
+
     def test_optimized_profile_passes_verify(self, tmp_path, capsys):
         # the optimize artifact must be consumable by the verify subcommand
         code = main(

@@ -321,12 +321,12 @@ class TestOptimalityMetrics:
 
     def test_closed_form_profile_has_linear_thickness_gradient(self, problem):
         profile = optimal_profile(problem, N_CELLS)
-        oc = evaluate_profile_optimality(problem, profile)
+        oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert oc.thickness_grad_linfit_residual <= 1e-10
 
     def test_rectangular_profile_flagged_nonoptimal(self, problem):
         profile = rectangular_profile(problem, N_CELLS)
-        oc = evaluate_profile_optimality(problem, profile)
+        oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert oc.grad_temp_cv > 0.1
 
     def test_gradient_metric_skips_zero_faces(self, problem):
@@ -335,7 +335,7 @@ class TestOptimalityMetrics:
         values = np.zeros(10)
         values[-1] = 1e-3
         profile = ThicknessProfile(Mesh(10, optimal_length(problem)), values)
-        oc = evaluate_profile_optimality(problem, profile)
+        oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert oc.grad_temp_cv == math.inf and oc.grad_temp_mean == 0.0
 
     @pytest.mark.parametrize("factor", [1.25, 1.5, 3.0, 10.0])
@@ -363,7 +363,7 @@ class TestOptimalityMetrics:
             positions[window] - mesh.length,
             (np.diff(profile.values) / mesh.dx)[window],
         )
-        oc = evaluate_profile_optimality(problem, profile)
+        oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert oc.thickness_slope == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -372,7 +372,7 @@ class TestOptimalityMetrics:
         values = np.zeros(10)
         values[:support] = 1e-3
         profile = ThicknessProfile(Mesh(10, optimal_length(problem)), values)
-        oc = evaluate_profile_optimality(problem, profile)
+        oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert math.isnan(oc.thickness_slope)
         assert math.isnan(oc.thickness_grad_linfit_residual)
 
@@ -385,7 +385,8 @@ class TestOptimalityMetrics:
             )
 
     def test_verify_optimality_consistent_with_report(self, problem, fixed_length_report):
-        oc = evaluate_profile_optimality(problem, fixed_length_report.profile)
+        profile = fixed_length_report.profile
+        oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert oc.grad_temp_cv == pytest.approx(
             fixed_length_report.optimality.grad_temp_cv, rel=1e-12
         )
@@ -757,7 +758,9 @@ class TestDirectSolve:
         assert report.certificate.floored_density_ratio <= 1.0
         assert report.certificate.density_spread <= 1e-9
         assert abs(report.compliance / optimal_compliance(problem) - 1.0) <= 1e-8
-        check = evaluate_profile_optimality(problem, report.profile)
+        check = evaluate_profile_optimality(
+            problem, report.profile, solve_temperature(problem, report.profile)
+        )
         assert check.selfadjoint_gap <= 1e-10
         assert check.grad_temp_cv <= 1e-9
 

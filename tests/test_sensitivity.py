@@ -23,7 +23,6 @@ from finopt import (
 from finopt.sensitivity import (
     TIP_EXCLUSION,
     interior_face_count,
-    interior_face_mask,
     interior_node_count,
 )
 from finopt.mesh import Mesh, ThicknessProfile
@@ -158,8 +157,7 @@ class TestGradientStructure:
     def test_density_constant_inside_on_optimal_profile(self, base_problem):
         profile = optimal_profile(base_problem, 1000)
         grad = gradient_of(base_problem, profile)
-        inside = interior_face_mask(profile.mesh)
-        d = grad.density[inside]
+        d = grad.density[: interior_face_count(profile.mesh)]
         assert np.std(d) / np.mean(d) <= 1e-3
 
     @pytest.mark.parametrize("zero_from", [0, 30])
@@ -202,14 +200,12 @@ class TestGradientStructure:
 class TestInteriorMask:
     def test_excludes_tip_zone_only(self):
         mesh = Mesh(100, 1.0)
-        mask = interior_face_mask(mesh)
-        assert mask.shape == (100,)
+        count = interior_face_count(mesh)
         # the root face is kept, faces past 90% of the length are dropped
-        assert mask[0] and not mask[-1]
         faces = mesh.faces
-        assert np.all(faces[mask] <= (1.0 - TIP_EXCLUSION) * mesh.length)
-        assert np.all(faces[~mask] > (1.0 - TIP_EXCLUSION) * mesh.length)
-        assert np.count_nonzero(mask) == 90
+        assert np.all(faces[:count] <= (1.0 - TIP_EXCLUSION) * mesh.length)
+        assert np.all(faces[count:] > (1.0 - TIP_EXCLUSION) * mesh.length)
+        assert count == 90
 
     @given(n_cells=st.integers(4, 100000), log_length=st.floats(-8.0, 4.0))
     @settings(max_examples=200, deadline=None)
@@ -224,7 +220,6 @@ class TestInteriorMask:
         assert not np.any(faces[interior_face_count(mesh) :])
         assert np.all(nodes[: interior_node_count(mesh)])
         assert not np.any(nodes[interior_node_count(mesh) :])
-        assert np.array_equal(interior_face_mask(mesh), faces)
 
 
 class TestFiniteDifferenceAgreement:
@@ -233,10 +228,9 @@ class TestFiniteDifferenceAgreement:
         profile = optimal_profile(base_problem, 64)
         grad = gradient_of(base_problem, profile)
         step = 1e-6 * profile.values[0]
-        inside = np.flatnonzero(interior_face_mask(profile.mesh))
         worst = 0.0
-        for f in inside:
-            fd = finite_difference_gradient(base_problem, profile, int(f), step)
+        for f in range(interior_face_count(profile.mesh)):
+            fd = finite_difference_gradient(base_problem, profile, f, step)
             worst = max(worst, abs(fd - grad.values[f]) / abs(grad.values[f]))
         assert worst <= 1e-5
 
@@ -264,9 +258,8 @@ class TestFiniteDifferenceAgreement:
         profile = rectangular_profile(base_problem, 64)
         grad = gradient_of(base_problem, profile)
         step = 1e-6 * profile.values[0]
-        inside = np.flatnonzero(interior_face_mask(profile.mesh))
-        for f in inside:
-            fd = finite_difference_gradient(base_problem, profile, int(f), step)
+        for f in range(interior_face_count(profile.mesh)):
+            fd = finite_difference_gradient(base_problem, profile, f, step)
             err = abs(fd - grad.values[f])
             assert err <= 1e-4 * abs(grad.values[f]) + 1e-12
 

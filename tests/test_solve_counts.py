@@ -30,7 +30,6 @@ from conftest import (
     DECADES,
     ORACLE_H20,
     draw_fin,
-    optimal_profile,
     random_feasible_profile,
 )
 
@@ -168,16 +167,3 @@ def test_start_row_is_the_solved_constant_fin():
             problem, start, solve_temperature(problem, start)
         )
         assert abs(report.history[0].compliance / solved - 1.0) <= 1e-14
-
-
-@pytest.mark.parametrize("n_cells", [64, 1000])
-@pytest.mark.parametrize("shape", ["optimal", "random"])
-def test_passing_theta_changes_no_metric(problem, n_cells, shape):
-    if shape == "optimal":
-        profile = optimal_profile(problem, n_cells)
-    else:
-        profile = random_feasible_profile(problem, n_cells, seed=n_cells)
-    with_theta = evaluate_profile_optimality(
-        problem, profile, solve_temperature(problem, profile)
-    )
-    assert_same_bits(with_theta, evaluate_profile_optimality(problem, profile))

@@ -82,19 +82,11 @@ class TestUniformFinOracle:
         study = refine_and_estimate_order(
             base_problem,
             lambda n: rectangular_profile(base_problem, n),
+            n_cells=(250, 500, 1000),
             exact=ORACLE_RECT["theta0"],
         )
-        assert not study.inconclusive
+        assert study.order is not None
         assert study.order >= 1.8
-
-    def test_richardson_order_without_exact_value(self, base_problem):
-        study = refine_and_estimate_order(
-            base_problem,
-            lambda n: rectangular_profile(base_problem, n),
-            n_cells=(125, 250, 500, 1000),
-        )
-        assert not study.inconclusive
-        assert study.order == pytest.approx(2.0, abs=0.2)
 
 
 class TestOptimalProfile:
@@ -267,6 +259,7 @@ class TestRefinementStudyPaths:
                 base_problem,
                 lambda n: rectangular_profile(base_problem, n),
                 n_cells=(100, 200),
+                exact=ORACLE_RECT["theta0"],
             )
 
     def test_needs_increasing_meshes(self, base_problem):
@@ -275,37 +268,34 @@ class TestRefinementStudyPaths:
                 base_problem,
                 lambda n: rectangular_profile(base_problem, n),
                 n_cells=(200, 100, 400),
+                exact=ORACLE_RECT["theta0"],
             )
 
     def test_identical_values_inconclusive(self, base_problem):
+        # q0 = 0 gives theta = 0 on every mesh, so each error is the same 1.0.
         cold = dataclasses.replace(base_problem, q0=0.0)
         study = refine_and_estimate_order(
-            cold, lambda n: rectangular_profile(cold, n)
+            cold, lambda n: rectangular_profile(cold, n), n_cells=(250, 500, 1000), exact=1.0
         )
-        assert study.inconclusive
+        assert study.errors == (1.0, 1.0, 1.0)
         assert study.order is None
-        assert "identical" in study.note
+        assert "not monotonically decreasing" in study.note
 
     def test_exact_value_hit_is_inconclusive(self, base_problem):
         cold = dataclasses.replace(base_problem, q0=0.0)
         study = refine_and_estimate_order(
-            cold, lambda n: rectangular_profile(cold, n), exact=0.0
+            cold, lambda n: rectangular_profile(cold, n), n_cells=(250, 500, 1000), exact=0.0
         )
-        assert study.inconclusive
         assert study.order is None
-
-    def test_richardson_needs_constant_ratio(self, base_problem):
-        with pytest.raises(DomainError):
-            refine_and_estimate_order(
-                base_problem,
-                lambda n: rectangular_profile(base_problem, n),
-                n_cells=(100, 200, 300),
-            )
+        assert "vanished" in study.note
 
     def test_generator_must_honor_cell_count(self, base_problem):
         with pytest.raises(DomainError):
             refine_and_estimate_order(
-                base_problem, lambda n: rectangular_profile(base_problem, 100)
+                base_problem,
+                lambda n: rectangular_profile(base_problem, 100),
+                n_cells=(250, 500, 1000),
+                exact=ORACLE_RECT["theta0"],
             )
 
 
