@@ -15,7 +15,9 @@ it; a length run and verify check all four.  The slope is fitted only
 where both neighbouring faces are positive, so the zero faces past a
 support do not count; when that leaves nothing to fit, the slope is NaN
 and the FAIL line of either command names the cause from the profile's
-positive faces.  optimize also checks the certificate.
+positive faces.  optimize also checks the certificate, and verify checks
+that the profile spends the area budget, within a limit derived from the
+table's row spacing and the mesh (see _area_check).
 
 optimize's profile.csv has a row at x = 0, one at each face and one at
 x = L, so verify on the same number of cells reads every face back
@@ -215,6 +217,41 @@ def _threshold_checks(problem: FinProblem, profile: ThicknessProfile,
     ]
 
 
+def _area_check(problem: FinProblem, profile: ThicknessProfile,
+                spacing: float) -> tuple[str, float, float, str]:
+    """(name, value, limit, cause) of verify's check that the profile read
+    from a table with rows at most `spacing` apart spends the area budget.
+
+    The value is |area - A| / A, with the midpoint-rule area of the faces.
+    The optimum at any length has t'' = 2h/k on its support and meets it
+    with t = t' = 0, so |t''| <= 2h/k on the whole fin.  Reading such a
+    profile errs in two ways:
+
+    - linear interpolation between rows at most D apart errs by at most
+      (2h/k) D^2 / 8 at each face, so by L (2h/k) D^2 / 8 over the fin;
+    - the midpoint rule on n faces of width dx errs from the integral by
+      at most L (2h/k) dx^2 / 24.
+
+    So a table of a profile whose integral is A reads an area within
+    (h L / k) (D^2 / 4 + dx^2 / 12) of A; over A, that is the limit.  On
+    top comes (n + 4) eps for the rounding of the sum of n face values,
+    of dx and of the product, which sets the limit only on very fine
+    meshes or very short fins.  The closed form sampled at n + 1 evenly
+    spaced rows and read on n cells has its interpolation error, +dx^2/8,
+    partly cancelled by the quadrature's, -dx^2/24: at L* it reads
+    exactly 1/(2 n^2) against a limit of 1/n^2 + (n + 4) eps.  optimize's
+    table, whose faces meet the budget by their own midpoint sum, reads it
+    to rounding on its own mesh.
+    """
+    mesh = profile.mesh
+    scale = problem.h * mesh.length / (problem.k * problem.area)
+    limit = (scale * (spacing**2 / 4.0 + mesh.dx**2 / 12.0)
+             + (mesh.n_cells + 4) * float(np.finfo(np.float64).eps))
+    value = abs(profile.area - problem.area) / problem.area
+    cause = "" if value <= limit else f"the budget is {problem.area:.6g} m^2"
+    return "area_err", value, limit, cause
+
+
 def _report_checks(checks: list[tuple[str, float, float, str]]) -> bool:
     """Print one PASS/FAIL line per check; a failed check names its cause."""
     all_ok = True
@@ -303,9 +340,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ProfileFormatError(
             f"{args.profile}: profile must start at x = 0, got {xs[0]}"
         )
-    length = float(xs[-1])
+    length, spacing = float(xs[-1]), float(np.max(np.diff(xs)))
     mesh = Mesh(args.n_cells, length)
-    profile = ThicknessProfile(mesh, np.interp(mesh.faces, xs, ts))
+    faces = np.interp(mesh.faces, xs, ts)
+    faces.flags.writeable = False  # the profile keeps it without a copy
+    profile = ThicknessProfile(mesh, faces)
 
     theta = solve_temperature(problem, profile)
     check = evaluate_profile_optimality(problem, profile, theta)
@@ -313,6 +352,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"profile: L = {length:.6g} m, area = {profile.area:.6g} m^2, "
           f"biot = {breakdown.biot:.4g}")
     checks = _threshold_checks(problem, profile, check, check_tip=True)
+    checks.append(_area_check(problem, profile, spacing))
     return 0 if _report_checks(checks) else 1
 
 

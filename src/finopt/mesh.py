@@ -135,8 +135,9 @@ class ThicknessProfile:
         floor: float = 0.0,
     ) -> "ThicknessProfile":
         """Sample t(x) at the face positions, clipped from below at floor."""
-        values = np.asarray(thickness(mesh.faces), dtype=np.float64)
-        return cls(mesh, np.maximum(values, floor))
+        values = np.maximum(np.asarray(thickness(mesh.faces), dtype=np.float64), floor)
+        values.flags.writeable = False  # fresh: the profile keeps it without a copy
+        return cls(mesh, values)
 
     def with_values(self, values) -> "ThicknessProfile":
         return ThicknessProfile(self.mesh, values)

@@ -150,6 +150,8 @@ def finite_difference_gradient(
     plus[face_index] += step
     minus = np.array(profile.values)
     minus[face_index] -= step
+    # Fresh copies: the perturbed profiles keep them without another copy.
+    plus.flags.writeable = minus.flags.writeable = False
     c_plus = compliance(problem, solve_temperature(problem, profile.with_values(plus)))
     c_minus = compliance(problem, solve_temperature(problem, profile.with_values(minus)))
     return (c_plus - c_minus) / (2.0 * step)

@@ -60,12 +60,19 @@ def assemble_fin_system(
     off-diagonal is minus the link conductances k * t_face / dx: the
     conductive fluxes cancel across each row, so the diagonal is never
     formed (see kernels).  The one load, q0 on the root's row 0, goes to
-    the kernel as a number.
+    the kernel as a number.  Two n-long arrays are made: the row sums
+    (2h) dx with (2h) (dx/2) at the two ends, and k t, divided by dx and
+    negated in place; these are the operations, in their order, of
+    2h * Mesh.node_weights and -(k t / dx).
     """
     mesh = profile.mesh
-    convection = 2.0 * problem.h * mesh.node_weights
-    off = -(problem.k * profile.values / mesh.dx)
-    return convection, off
+    convection = 2.0 * problem.h
+    rowsum = np.full(mesh.n_nodes, convection * mesh.dx)
+    rowsum[0] = rowsum[-1] = convection * (0.5 * mesh.dx)
+    off = problem.k * profile.values
+    off /= mesh.dx
+    np.negative(off, out=off)
+    return rowsum, off
 
 
 def solve_temperature(problem: FinProblem, profile: ThicknessProfile) -> TemperatureField:

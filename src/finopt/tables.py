@@ -7,19 +7,27 @@ not ``0.10000000000000001``), byte for byte as ``json.dumps(indent=2)``
 writes it.  Data tables never carry timestamps or other run metadata;
 identical inputs must produce identical files.
 
-The CSV and JSON table writers format whole chunks of rows with one ``%``
-operation and stream them through one open file, so memory stays bounded
-on long tables.  The reader makes one pass that splits each line and
-parses its x and t, then checks finiteness, sign and ordering on the
-whole arrays.
+Table I/O takes memory bounded by a chunk, not by the table, beyond the
+arrays it is given or returns.  The CSV and JSON table writers stage one
+chunk of ``CHUNK_ROWS`` rows at a time in a (CHUNK_ROWS, columns) buffer,
+format it with one ``%`` operation and stream it through one open file.
+The reader streams the open file line by line: it splits each line and
+appends its x and t to two ``array('d')`` buffers, which numpy then views
+without a copy.  It keeps no text of the file, no list of lines and no
+Python float per row; only blank lines are remembered, by the row they
+precede, so that an error can name its line.  Finiteness, sign and
+ordering are then checked on the whole arrays.  Lines end at ``\n``,
+``\r\n`` or ``\r`` (Python's universal newlines); other characters that
+``str.splitlines`` would break at, such as form feed, stay inside a line.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
+from array import array
+from bisect import bisect_right
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -35,13 +43,35 @@ def format_float(value: float) -> str:
 CHUNK_ROWS = 2048
 
 
+def _row_chunks(columns) -> Iterator[np.ndarray]:
+    """The rows of the table whose columns are given, CHUNK_ROWS at a time.
+
+    Each chunk is a C-contiguous (rows, columns) view of one staging
+    buffer that the next chunk overwrites, so the whole table is never
+    stacked.  The columns are checked before any chunk is made.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    shape = columns[0].shape
+    if len(shape) != 1 or any(column.shape != shape for column in columns):
+        raise ValueError(f"table columns must be 1D of one length, got "
+                         f"{[column.shape for column in columns]}")
+    staged = np.empty((min(shape[0], CHUNK_ROWS), len(columns)))
+
+    def stage(start: int) -> np.ndarray:
+        rows = min(CHUNK_ROWS, shape[0] - start)
+        for j, column in enumerate(columns):
+            staged[:rows, j] = column[start:start + rows]
+        return staged[:rows]
+
+    return map(stage, range(0, shape[0], CHUNK_ROWS))
+
+
 def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
-    table = np.asarray(np.column_stack(columns), dtype=float)
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    chunks = _row_chunks(columns)
     with open(path, "w") as out:
         out.write(",".join(header) + "\n")
-        for start in range(0, len(table), CHUNK_ROWS):
-            chunk = table[start:start + CHUNK_ROWS]
+        for chunk in chunks:
             out.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
@@ -62,17 +92,18 @@ def write_table_json(path: Path, header: Sequence[str], *columns) -> None:
     float repr json writes, so the pure-Python encoder that ``indent``
     selects never sees them; only NaN and infinities need json's spelling.
     """
-    table = np.asarray(np.column_stack(columns), dtype=float)
     names = ",\n".join("    " + json.dumps(name) for name in header)
-    row = "    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
+    row = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
+    chunks = _row_chunks(columns)
     with open(path, "w") as out:
         out.write(f'{{\n  "columns": [\n{names}\n  ],\n  "rows": [\n')
-        for start in range(0, len(table), CHUNK_ROWS):
-            chunk = table[start:start + CHUNK_ROWS]
+        separator = ""
+        for chunk in chunks:
             text = ",\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
             if not np.isfinite(chunk).all():
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            out.write(text if start == 0 else ",\n" + text)
+            out.write(separator + text)
+            separator = ",\n"
         out.write("\n  ]\n}\n")
 
 
@@ -84,50 +115,23 @@ def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a profile table with at least the columns x and t.
 
     Extra columns (like t_half) are ignored.  Errors name the earliest
-    offending line, counting from 1 at the header.
+    offending line, counting from 1 at the header; blank lines count.
+    The file is streamed, so memory grows only by the 16 bytes of each
+    row's x and t.
     """
     try:
-        text = Path(path).read_text()
+        with open(path) as source:
+            xs, ts, blanks, fault = _parse_rows(path, source)
     except OSError as exc:
         raise ProfileFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise ProfileFormatError(f"{path}: line 1: file is empty, expected a header")
 
-    header = [name.strip() for name in lines[0].split(",")]
-    if "x" not in header or "t" not in header:
-        raise ProfileFormatError(
-            f"{path}: line 1: header must contain columns 'x' and 't', got {lines[0]!r}"
-        )
-    ix = header.index("x")
-    it = header.index("t")
-
-    fields = len(header)
-    xs: list[float] = []
-    ts: list[float] = []
-    fault = None  # (line, message, cause) of the first row that does not parse
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != fields:
-            if not line.strip():
-                continue
-            fault = (lineno, f"expected {fields} fields, got {len(parts)}", None)
-            break
-        try:
-            x = float(parts[ix])
-            t = float(parts[it])
-        except ValueError as exc:
-            fault = (lineno, str(exc), exc)
-            break
-        xs.append(x)
-        ts.append(t)
-
-    x, t = np.asarray(xs), np.asarray(ts)
+    x, t = np.frombuffer(xs), np.frombuffer(ts)
     # A bad value on a row before the unparsable one is the earlier fault.
     bad = _first_bad_row(x, t)
     if bad is not None:
         row, message = bad
-        raise ProfileFormatError(f"{path}: line {_line_of_row(lines, row)}: {message}")
+        line = row + 2 + bisect_right(blanks, row)
+        raise ProfileFormatError(f"{path}: line {line}: {message}")
     if fault is not None:
         lineno, message, cause = fault
         raise ProfileFormatError(f"{path}: line {lineno}: {message}") from cause
@@ -136,26 +140,78 @@ def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
+def _parse_rows(
+    path: Path, source: TextIO
+) -> tuple[array, array, array, tuple | None]:
+    """(xs, ts, blanks, fault) of a table's lines, up to the first that fails
+    to parse.
+
+    xs and ts hold x and t of each row; blanks holds, for each blank line,
+    the number of rows before it; fault is (line, message, cause) of the
+    first line that does not parse, or None.
+    """
+    first = source.readline()
+    if not first:
+        raise ProfileFormatError(f"{path}: line 1: file is empty, expected a header")
+    first = first.rstrip("\n")
+    header = [name.strip() for name in first.split(",")]
+    if "x" not in header or "t" not in header:
+        raise ProfileFormatError(
+            f"{path}: line 1: header must contain columns 'x' and 't', got {first!r}"
+        )
+    ix = header.index("x")
+    it = header.index("t")
+
+    fields = len(header)
+    xs, ts, blanks = array("d"), array("d"), array("q")
+    for lineno, line in enumerate(source, start=2):
+        parts = line.split(",")
+        if len(parts) != fields:
+            if not line.strip():
+                blanks.append(len(xs))
+                continue
+            fault = (lineno, f"expected {fields} fields, got {len(parts)}", None)
+            return xs, ts, blanks, fault
+        try:
+            x = float(parts[ix])
+            t = float(parts[it])
+        except ValueError:
+            # float() ignores the line's newline but would quote it.
+            cause = _parse_error(line.rstrip("\n").split(","), ix, it)
+            return xs, ts, blanks, (lineno, str(cause), cause)
+        xs.append(x)
+        ts.append(t)
+    return xs, ts, blanks, None
+
+
+def _parse_error(parts: list[str], ix: int, it: int) -> ValueError:
+    """The error that float() raises on the x or t field of a bad row."""
+    try:
+        float(parts[ix])
+        float(parts[it])
+    except ValueError as exc:
+        return exc
+    raise AssertionError(f"row {parts!r} parses")
+
+
 def _first_bad_row(x: np.ndarray, t: np.ndarray) -> tuple[int, str] | None:
     """First row with a non-finite value, a negative t or a non-increasing x.
 
-    A row with several faults reports them in that order.
+    A row with several faults reports them in that order.  Only n-byte
+    masks are made: one, and one operand at a time.
     """
-    finite = np.isfinite(x) & np.isfinite(t)
-    bad = ~finite | (t < 0.0)
-    bad[1:] |= x[1:] <= x[:-1]
-    rows = np.flatnonzero(bad)
-    if rows.size == 0:
+    if x.size == 0:
         return None
-    row = int(rows[0])
-    if not finite[row]:
+    bad = np.isfinite(x)
+    bad &= np.isfinite(t)
+    np.logical_not(bad, out=bad)
+    bad |= t < 0.0
+    bad[1:] |= x[1:] <= x[:-1]
+    row = int(np.argmax(bad))
+    if not bad[row]:
+        return None
+    if not (np.isfinite(x[row]) and np.isfinite(t[row])):
         return row, "non-finite value"
     if t[row] < 0.0:
         return row, f"negative thickness {float(t[row])}"
     return row, "x must be strictly increasing"
-
-
-def _line_of_row(lines: list[str], row: int) -> int:
-    """Line number, counting from 1 at the header, of data row `row`."""
-    data_lines = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
-    return next(islice(data_lines, row, None))

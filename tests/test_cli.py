@@ -448,9 +448,13 @@ class TestVerify:
         checks = [line for line in out.splitlines() if line.startswith("PASS")]
         assert [line.split(":")[0] for line in checks] == [
             f"PASS {name}" for name in CHECK_LIMITS
-        ]
+        ] + ["PASS area_err"]
         for line, limit in zip(checks, CHECK_LIMITS.values()):
             assert line.endswith(f"(limit {limit:.3e})")
+        # 401 rows on 1000 cells: D = L/400 and dx = L/1000, so at L* the
+        # limit is 3 (D^2/4 + dx^2/12) / L^2 + 1004 eps.
+        limit = 3.0 * (1.0 / 400**2 / 4.0 + 1.0 / 1000**2 / 12.0) + 1004 * 2.0**-52
+        assert checks[-1].endswith(f"(limit {limit:.3e})")
 
     def test_rectangular_profile_fails_gradient_constancy(self, tmp_path, capsys):
         path = tmp_path / "rect.csv"
@@ -511,7 +515,8 @@ class TestVerify:
         path.write_text("x,t\n0,2e-3\n0.05,1e-3\n0.1,0\n0.15,0\n0.2,0\n")
         code = main(["verify", str(path), *BASE, "--h", "20", "--n-cells", "4"])
         assert code == 1
-        (line,) = [
+        # The faces also hold 1e-4 m^2 of the 1.6e-4 budget.
+        line, area = [
             row for row in capsys.readouterr().out.splitlines()
             if row.startswith("FAIL")
         ]
@@ -519,6 +524,7 @@ class TestVerify:
             "FAIL thickness_slope_err: nan (limit 2.000e-02): the support has "
             "2 faces, and the taper fit needs at least three"
         )
+        assert area.startswith("FAIL area_err: 3.750e-01 ")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_slope_on_more_faces_names_the_cause(self, tmp_path, capsys):
@@ -537,6 +543,42 @@ class TestVerify:
             "FAIL thickness_slope_err: nan (limit 2.000e-02): fewer than two "
             "interior nodes outside the tip zone lie between positive faces\n"
         ) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_closed_form_of_another_budget_fails_the_area_check(
+        self, tmp_path, capsys, factor
+    ):
+        # Every other check is blind to the budget: the closed form of
+        # twice or half of it passes them all.
+        main(["analytic", "--k", "200", "--h", "20", "--area", repr(1.6e-4 * factor),
+              "--q0", "20", "--samples", "1001", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        code = main(["verify", str(tmp_path / "profile.csv"), *BASE, "--h", "20"])
+        assert code == 1
+        (line,) = [
+            row for row in capsys.readouterr().out.splitlines()
+            if row.startswith("FAIL")
+        ]
+        assert line.startswith(f"FAIL area_err: {abs(factor - 1.0):.3e} (limit ")
+        assert line.endswith("): the budget is 0.00016 m^2")
+
+    @pytest.mark.parametrize("n_cells", [4, 10, 250, 1000, 16000])
+    def test_sampled_closed_form_reads_half_its_area_limit(self, tmp_path, capsys, n_cells):
+        # n + 1 even rows read on n cells: +dx^2/8 from the interpolation
+        # and -dx^2/24 from the midpoint rule leave 1/(2 n^2) of the budget,
+        # against a limit of 1/n^2 plus the rounding of the sum.
+        run_analytic(tmp_path, extra=["--samples", str(n_cells + 1)])
+        main(["verify", str(tmp_path / "profile.csv"), *BASE, "--h", "20",
+              "--n-cells", str(n_cells)])
+        (line,) = [
+            row for row in capsys.readouterr().out.splitlines()
+            if "area_err" in row
+        ]
+        value, limit = (float(word.strip("()")) for word in line.split()[2:5:2])
+        assert line.startswith("PASS")
+        assert value == pytest.approx(0.5 / n_cells**2, rel=1e-3)
+        assert limit == pytest.approx(1.0 / n_cells**2 + (n_cells + 4) * 2.0**-52,
+                                      rel=1e-3)
 
 
 class TestRoundTrip:
@@ -572,6 +614,24 @@ class TestRoundTrip:
         assert profile.mesh == report.profile.mesh
         assert profile.values.tobytes() == report.profile.values.tobytes()
         assert problem.q0 * theta.root_value == report.compliance
+
+    @pytest.mark.parametrize("n_cells", [4, 5, 1000])
+    @pytest.mark.parametrize("factor", [None, 0.5, 3.0])
+    def test_optimized_table_meets_its_budget_on_its_mesh(
+        self, tmp_path, capsys, n_cells, factor
+    ):
+        args = ["--n-cells", str(n_cells), "--out-dir", str(tmp_path)]
+        if factor is not None:
+            args += ["--fixed-length", repr(factor * ORACLE_H20["L"])]
+        main(["optimize", *BASE, "--h", "20", *args])
+        capsys.readouterr()
+        main(["verify", str(tmp_path / "profile.csv"), *BASE, "--h", "20",
+              "--n-cells", str(n_cells)])
+        (line,) = [
+            row for row in capsys.readouterr().out.splitlines()
+            if "area_err" in row
+        ]
+        assert line.startswith("PASS area_err: ")
 
     def test_optimized_profile_passes_verify(self, tmp_path, capsys):
         # the optimize artifact must be consumable by the verify subcommand

@@ -36,7 +36,7 @@ from finopt.optimizer import (
     _optimize_profile_oc,
     _solve_optimality_conditions,
 )
-from finopt.sensitivity import TIP_EXCLUSION
+from finopt.sensitivity import TIP_EXCLUSION, interior_face_count
 from finopt.solver import assemble_fin_system, solve_temperature
 from conftest import DECADES, ORACLE_H20, optimal_profile, rectangular_profile
 
@@ -337,6 +337,22 @@ class TestOptimalityMetrics:
         profile = ThicknessProfile(Mesh(10, optimal_length(problem)), values)
         oc = evaluate_profile_optimality(problem, profile, solve_temperature(problem, profile))
         assert oc.grad_temp_cv == math.inf and oc.grad_temp_mean == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gradient_spread_has_the_bits_of_np_std(self, problem, seed):
+        # The metric sums np.std's terms in place; np.std is the oracle.
+        rng = np.random.default_rng(seed)
+        n_cells = int(rng.integers(4, 3000))
+        values = rng.random(n_cells) * 1e-3
+        values[rng.random(n_cells) < 0.2] = 0.0
+        profile = ThicknessProfile(Mesh(n_cells, optimal_length(problem)), values)
+        theta = solve_temperature(problem, profile)
+        oc = evaluate_profile_optimality(problem, profile, theta)
+        faces = interior_face_count(profile.mesh)
+        slopes = np.diff(theta.values[: faces + 1]) / profile.mesh.dx
+        slopes = slopes[values[:faces] > 0.0]
+        expected = float(np.std(slopes)) / abs(float(np.mean(slopes)))
+        assert np.float64(oc.grad_temp_cv).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize("factor", [1.25, 1.5, 3.0, 10.0])
     def test_slope_fit_skips_zero_faces(self, problem, factor):

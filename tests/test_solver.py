@@ -47,6 +47,27 @@ class TestAssembly:
         assert np.array_equal(rowsum, 2.0 * base_problem.h * mesh.node_weights)
         assert np.all(rowsum > 0.0)
 
+    @given(
+        log_k=st.floats(-6.0, 8.0), log_h=st.floats(-6.0, 8.0),
+        log_length=st.floats(-8.0, 2.0), n_cells=st.integers(4, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_two_arrays_with_the_bits_of_the_node_weight_form(
+        self, log_k, log_h, log_length, n_cells, seed
+    ):
+        # 2h * node_weights and -(k t / dx) are the oracle, bit for bit.
+        problem = FinProblem(k=10.0**log_k, h=10.0**log_h, area=1.0, q0=1.0)
+        values = np.random.default_rng(seed).random(n_cells)
+        values[::7] = 0.0
+        profile = ThicknessProfile(Mesh(n_cells, 10.0**log_length), values)
+        mesh = profile.mesh
+        rowsum, off = assemble_fin_system(problem, profile)
+        expected = 2.0 * problem.h * mesh.node_weights
+        assert rowsum.tobytes() == expected.tobytes()
+        assert off.tobytes() == (-(problem.k * profile.values / mesh.dx)).tobytes()
+        assert rowsum.base is None and off.base is None
+
     def test_rhs_is_root_load_only(self, base_problem, monkeypatch):
         # The one load, q0 on the root's row, goes to the kernel as a number.
         profile = rectangular_profile(base_problem, 20)

@@ -1,6 +1,7 @@
 """Lossless table round-trips and parser diagnostics."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,3 +237,108 @@ class TestParserDiagnostics:
         with pytest.raises(ProfileFormatError) as info:
             read_profile_csv(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+class TestStreamingReader:
+    def test_long_table_reads_in_bounded_memory(self, tmp_path):
+        # 1e5 rows hold 1.6 MB of x and t; the reader keeps no text, list
+        # of lines or Python float per row beside them.
+        path = tmp_path / "long.csv"
+        x = np.linspace(0.0, 0.2, 100_001)
+        write_profile_csv(path, x, (0.2 - x) ** 2)
+        tracemalloc.start()
+        try:
+            x2, _ = read_profile_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x2.tobytes() == x.tobytes()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_endings_read_as_newlines(self, tmp_path, newline):
+        text = "x,t\n0.0,1.0\n\n0.5,2.0\n1.0,0.0\n"
+        path = tmp_path / "ends.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        x, t = read_profile_csv(path)
+        assert np.array_equal(x, [0.0, 0.5, 1.0])
+        assert np.array_equal(t, [1.0, 2.0, 0.0])
+
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((text + "\n1.5,oops\n").replace("\n", newline).encode())
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(bad)
+        assert str(info.value) == (
+            f"{bad}: line 7: could not convert string to float: 'oops'"
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.5", "expected 3 fields, got 1"),
+            ("0.5,oops,1", "could not convert string to float: 'oops'"),
+            ("0.5,-1,1", "negative thickness -1.0"),
+            ("0.5,inf,1", "non-finite value"),
+            ("0.5,1,1", "x must be strictly increasing"),
+        ],
+    )
+    def test_fault_after_thousands_of_rows_names_its_line(self, tmp_path, row, message):
+        # Lines 2-5001 hold good rows (x from 1 to 2), 5002 is blank.
+        path = tmp_path / "late.csv"
+        x = np.linspace(1.0, 2.0, 5000)
+        write_profile_csv(path, x, np.ones_like(x))
+        with open(path, "a") as out:
+            out.write(f"\n{row}\n\n4,1,1\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: line 5003: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,t\n\n\n0.0,1.0\n\n0.5,-1.0\n\n\n0.9,1.0\n",
+             "line 6: negative thickness -1.0"),
+            ("x,t\n\n0.0,1.0\n \n0.5,nope\n\n",
+             "line 5: could not convert string to float: 'nope'"),
+            ("x,t\n0.0,1.0\n\n\n0.5\n\n0.25,1.0\n", "line 5: expected 2 fields, got 1"),
+            ("x,t\n\n0.0,1.0\n\t\n0.0,1.0\n\n", "line 5: x must be strictly increasing"),
+            ("x,t\n0.0,1.0\n\n0.5,2.0\n\n\n0.25,1.0\n0.9\n",
+             "line 7: x must be strictly increasing"),
+        ],
+        ids=["negative", "unparsable", "short-row", "repeated-x",
+             "decreasing-before-short-row"],
+    )
+    def test_blank_lines_before_and_after_a_fault_count(self, tmp_path, text, message):
+        path = tmp_path / "blanks.csv"
+        path.write_text(text)
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["x,t\n", "x,t", "x,t\n\n\n"])
+    def test_header_only_file(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: need at least two data rows, got 0"
+
+    def test_header_line_is_named_without_its_newline(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b\n0,1\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 1: header must contain columns 'x' and 't', got 'a,b'"
+        )
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                           "\x85", " ", " "])
+    def test_only_newlines_separate_rows(self, tmp_path, separator):
+        # str.splitlines would also break at these; a row ends only at
+        # \n, \r\n or \r.
+        path = tmp_path / "sep.csv"
+        path.write_text(f"x,t\n0.0,1.0{separator}0.5,2.0\n1.0,0.0\n", encoding="utf-8")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: line 2: expected 2 fields, got 3"
