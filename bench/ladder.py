@@ -15,7 +15,9 @@ the ``finopt optimize`` command in a fresh process:
   optimize_profile   optimize_profile at L*
   optimize_length    optimize_length
   write_profile_csv  the closed-form table of n + 1 rows
-  read_profile_csv   that table read back
+  write_temperature_csv
+                     the closed-form temperature table of n + 1 rows
+  read_profile_csv   the profile table read back
   cli_optimize       ``python -m finopt.cli optimize`` (length run), one
                      fresh process per call
 
@@ -33,8 +35,11 @@ the process's memory layout down to the size of its environment: at
 with one PYTHONPATH, and 1755 faults and 5.8 ms with the same directory
 spelled four characters longer ("src" as "././src").  Compare them
 between files with that in mind.
-The file also records the git revision of the package's checkout, the
-machine, nproc, Python, numpy and the kernel backend.  Run it with
+The file also records the git revision of the package's checkout, and
+when its tracked files differ from that revision the sha256 of
+``git diff HEAD`` over the package's directory, so that a file taken on
+a dirty tree still names the code it timed; then the machine, nproc,
+Python, numpy, orjson and the kernel backend.  Run it with
 ``PYTHONPATH`` pointing at the ``src`` directory of the checkout to
 measure.
 """
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -57,6 +63,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 import finopt
 import finopt.cli
@@ -67,16 +74,17 @@ PHYSICS = {"k": 200.0, "h": 20.0, "area": 1.6e-4, "q0": 20.0}
 RUNGS = (
     "fill", "assemble", "kernel", "solve_temperature", "optimality",
     "optimize_profile", "optimize_length", "write_profile_csv",
-    "read_profile_csv", "cli_optimize",
+    "write_temperature_csv", "read_profile_csv", "cli_optimize",
 )
 
 
 def _git(*args: str) -> str | None:
+    """git's output in the package's directory, or None without git."""
     try:
         return subprocess.run(
             ["git", *args], cwd=Path(finopt.__file__).parent,
             capture_output=True, text=True, check=True,
-        ).stdout.strip()
+        ).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
 
@@ -117,6 +125,11 @@ def _rung(rung: str, n: int, workdir: Path):
         return lambda: finopt.optimize_profile(problem, length, options), None
     if rung == "optimize_length":
         return lambda: finopt.optimize_length(problem, options), None
+    if rung == "write_temperature_csv":
+        xs = np.linspace(0.0, length, n + 1)
+        theta = np.asarray(finopt.optimal_solution(problem).temperature(xs))
+        table = workdir / "temperature.csv"
+        return lambda: tables.write_temperature_csv(table, xs, theta), None
     if rung in ("write_profile_csv", "read_profile_csv"):
         xs = np.linspace(0.0, length, n + 1)
         t = np.asarray(finopt.optimal_thickness(problem, xs, length))
@@ -211,16 +224,20 @@ def run_ladder(sizes, calls: int) -> dict:
                   file=sys.stderr)
     revision = _git("rev-parse", "HEAD")
     changes = _git("status", "--porcelain", "--untracked-files=no")
+    diff = _git("diff", "HEAD", "--", ".") if changes else None
     return {
         "schema": SCHEMA,
-        "git_revision": revision,
+        "git_revision": None if revision is None else revision.strip(),
         "git_dirty": None if changes is None else bool(changes),
+        "git_diff_sha256": (None if diff is None
+                            else hashlib.sha256(diff.encode()).hexdigest()),
         "machine": platform.machine(),
         "platform": platform.platform(),
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "orjson": orjson.__version__,
         "finopt": finopt.__version__,
         "kernel": kernels.get_backend(),
         "physics": PHYSICS,

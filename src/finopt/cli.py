@@ -24,18 +24,21 @@ x = L, so verify on the same number of cells reads every face back
 exactly and reproduces the run's compliance.
 
 Exit codes: 0 success, 1 numerical failure or failed optimality checks,
-2 usage or configuration errors.
+2 usage or configuration errors, among them an --out-dir that cannot be
+made or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__, kernels
 from .analytic import (
@@ -106,9 +109,21 @@ def _problem_from_args(args: argparse.Namespace, h: float | None = None) -> FinP
     )
 
 
+@contextlib.contextmanager
+def _writing_to(out_dir: Path):
+    """Make out_dir, then run the block that writes into it.  An OSError of
+    either is a usage error (exit 2), as an unreadable input is."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write to {out_dir}: {exc}") from exc
+
+
 def _write_optimum(args: argparse.Namespace, problem: FinProblem,
                    suffix: str = "") -> dict:
-    """Write the closed-form optimum's sampled tables; return its summary.
+    """Write the closed-form optimum's sampled tables into args.out_dir,
+    which must exist; return its summary.
 
     The tables are profile{suffix} and temperature{suffix} in args.format.
     """
@@ -120,7 +135,6 @@ def _write_optimum(args: argparse.Namespace, problem: FinProblem,
     theta = np.asarray(sol.temperature(xs))
 
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         write_profile_csv(out / f"profile{suffix}.csv", xs, t)
         write_temperature_csv(out / f"temperature{suffix}.csv", xs, theta)
@@ -150,10 +164,11 @@ def _config_echo(args: argparse.Namespace, command: str, **extra) -> dict:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    summary = _write_optimum(args, _problem_from_args(args))
-    summary["config"] = _config_echo(args, "analytic", h=args.h,
-                                     samples=args.samples, format=args.format)
-    write_json(args.out_dir / "summary.json", summary)
+    with _writing_to(args.out_dir):
+        summary = _write_optimum(args, _problem_from_args(args))
+        summary["config"] = _config_echo(args, "analytic", h=args.h,
+                                         samples=args.samples, format=args.format)
+        write_json(args.out_dir / "summary.json", summary)
     print(f"optimal fin: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m, "
           f"compliance = {summary['compliance']:.6g} W K/m")
     return 0
@@ -176,14 +191,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"--h-values repeats a value: {args.h_values}")
     problems = [(h, _problem_from_args(args, h=h)) for h in args.h_values]
 
-    summary_lines = [",".join(("h",) + SUMMARY_KEYS)]
-    for h, problem in problems:
-        summary = _write_optimum(args, problem, f"_h{_h_label(h)}")
-        summary_lines.append(
+    with _writing_to(args.out_dir):
+        summaries = [(h, _write_optimum(args, problem, f"_h{_h_label(h)}"))
+                     for h, problem in problems]
+        summary_lines = [",".join(("h",) + SUMMARY_KEYS)] + [
             ",".join([format_float(h)] + [format_float(summary[k]) for k in SUMMARY_KEYS])
-        )
+            for h, summary in summaries
+        ]
+        (args.out_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
+    for h, summary in summaries:
         print(f"h = {_h_text(h)}: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m")
-    (args.out_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
     return 0
 
 
@@ -281,6 +298,7 @@ def _optimize_payload(report, breakdown, checks, args) -> dict:
         "versions": {
             "finopt": __version__,
             "numpy": np.__version__,
+            "orjson": orjson.__version__,
             "kernel": kernels.get_backend(),
         },
         "config": _config_echo(
@@ -312,19 +330,19 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     checks.append(("certificate", report.certificate.floored_density_ratio,
                    1.0 + DENSITY_SLACK, ""))
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(args.out_dir / "report.json",
-               _optimize_payload(report, breakdown, checks, args))
     # Thickness lives on the faces.  The table holds every face value, framed
     # by rows at 0 and L extrapolated from the end faces, so verify on the
     # same mesh interpolates each face back to its own value.
     mesh, t_f = report.profile.mesh, report.profile.values
     root, tip = max(1.5 * t_f[0] - 0.5 * t_f[1], 0.0), max(1.5 * t_f[-1] - 0.5 * t_f[-2], 0.0)
-    write_profile_csv(args.out_dir / "profile.csv",
-                      np.concatenate(([0.0], mesh.faces, [mesh.length])),
-                      np.concatenate(([root], t_f, [tip])))
-    write_temperature_csv(args.out_dir / "temperature.csv",
-                          mesh.nodes, report.temperature.values)
+    with _writing_to(args.out_dir):
+        write_json(args.out_dir / "report.json",
+                   _optimize_payload(report, breakdown, checks, args))
+        write_profile_csv(args.out_dir / "profile.csv",
+                          np.concatenate(([0.0], mesh.faces, [mesh.length])),
+                          np.concatenate(([root], t_f, [tip])))
+        write_temperature_csv(args.out_dir / "temperature.csv",
+                              mesh.nodes, report.temperature.values)
 
     support = report.certificate.support_faces
     print(f"optimized fin: L = {report.length:.6g} m, "

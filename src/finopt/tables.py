@@ -1,16 +1,19 @@
 """Reading and writing of the on-disk table formats.
 
-Both formats are lossless.  CSV tables write every float with 17
-significant digits ("%.17g"), so parse -> format is the identity on the
-file bytes.  JSON files hold the shortest repr that round-trips (``0.1``,
-not ``0.10000000000000001``), byte for byte as ``json.dumps(indent=2)``
-writes it.  Data tables never carry timestamps or other run metadata;
-identical inputs must produce identical files.
+Both formats are lossless.  CSV tables write every float with the
+shortest digits that read back to it (``0.1``, ``1.0``, ``1e-7``), as
+orjson's Ryu formatter spells them, so parse -> format is the identity on
+the file bytes.  They refuse NaN and infinities, which could not be read
+back.  JSON files hold the same shortest digits in Python's repr spelling
+(``1e-07``), byte for byte as ``json.dumps(indent=2)`` writes it.  Data
+tables never carry timestamps or other run metadata; identical inputs
+must produce identical files.
 
 Table I/O takes memory bounded by a chunk, not by the table, beyond the
 arrays it is given or returns.  The CSV and JSON table writers stage one
 chunk of ``CHUNK_ROWS`` rows at a time in a (CHUNK_ROWS, columns) buffer,
-format it with one ``%`` operation and stream it through one open file.
+format it with one call (``orjson.dumps`` for CSV, one ``%`` operation for
+JSON) and stream it through one open file.
 The reader streams the open file line by line: it splits each line and
 appends its x and t to two ``array('d')`` buffers, which numpy then views
 without a copy.  It keeps no text of the file, no list of lines and no
@@ -24,55 +27,91 @@ ordering are then checked on the whole arrays.  Lines end at ``\n``,
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from bisect import bisect_right
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from .errors import ProfileFormatError
 
 
 def format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    """value as the CSV writers spell it: the shortest digits that round-trip."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot write the non-finite value {value} to a CSV table")
+    return orjson.dumps(value).decode()
 
 
 # Rows formatted per write: large enough to amortise the call, small
-# enough that the chunk's string and value tuple stay well under a MiB.
-CHUNK_ROWS = 2048
+# enough that the chunk's text stays well under a MiB.  orjson grows its
+# output in fourfold steps (16, 64, 256 KiB).  A row of three values of at
+# most 24 characters ("-2.2250738585072014e-308") takes at most 77 bytes
+# of that output, so 512 rows fit the 64 KiB step; the closed-form
+# profile's 1024 rows, about 67 KB, would take 256 KiB.
+CHUNK_ROWS = 512
 
 
-def _row_chunks(columns) -> Iterator[np.ndarray]:
-    """The rows of the table whose columns are given, CHUNK_ROWS at a time.
-
-    Each chunk is a C-contiguous (rows, columns) view of one staging
-    buffer that the next chunk overwrites, so the whole table is never
-    stacked.  The columns are checked before any chunk is made.
-    """
+def _float_columns(columns) -> list[np.ndarray]:
+    """The columns as float arrays, checked to be 1D and of one length."""
     columns = [np.asarray(column, dtype=float) for column in columns]
     shape = columns[0].shape
     if len(shape) != 1 or any(column.shape != shape for column in columns):
         raise ValueError(f"table columns must be 1D of one length, got "
                          f"{[column.shape for column in columns]}")
-    staged = np.empty((min(shape[0], CHUNK_ROWS), len(columns)))
+    return columns
+
+
+def _row_chunks(columns: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows of the table whose columns are given, CHUNK_ROWS at a time.
+
+    Each chunk is a C-contiguous (rows, columns) view of one staging
+    buffer that the next chunk overwrites, so the whole table is never
+    stacked.
+    """
+    rows_total = len(columns[0])
+    staged = np.empty((min(rows_total, CHUNK_ROWS), len(columns)))
 
     def stage(start: int) -> np.ndarray:
-        rows = min(CHUNK_ROWS, shape[0] - start)
+        rows = min(CHUNK_ROWS, rows_total - start)
         for j, column in enumerate(columns):
             staged[:rows, j] = column[start:start + rows]
         return staged[:rows]
 
-    return map(stage, range(0, shape[0], CHUNK_ROWS))
+    return map(stage, range(0, rows_total, CHUNK_ROWS))
+
+
+def _refuse_non_finite(path: Path, header: Sequence[str],
+                       columns: list[np.ndarray]) -> None:
+    """Raise ValueError naming the first row, and its first column, that
+    holds NaN or an infinity.
+
+    min and max propagate NaN and reach the infinities, so a finite table
+    is checked without a mask; only a table that fails makes one.
+    """
+    bad = [(int(np.argmin(np.isfinite(column))), j)
+           for j, column in enumerate(columns)
+           if column.size and not np.isfinite([column.min(), column.max()]).all()]
+    if bad:
+        row, j = min(bad)
+        raise ValueError(f"{path}: row {row}, column {header[j]!r}: cannot write "
+                         f"the non-finite value {columns[j][row]}")
 
 
 def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    chunks = _row_chunks(columns)
-    with open(path, "w") as out:
-        out.write(",".join(header) + "\n")
-        for chunk in chunks:
-            out.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
+    """One orjson call per chunk: its [[a,b],[c,d]] becomes the lines a,b and c,d."""
+    columns = _float_columns(columns)
+    _refuse_non_finite(path, header, columns)
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for chunk in _row_chunks(columns):
+            text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
+            out.write(memoryview(text.replace(b"],[", b"\n"))[2:-2])
+            out.write(b"\n")
 
 
 def write_profile_csv(path: Path, x: np.ndarray, t: np.ndarray) -> None:
@@ -94,7 +133,7 @@ def write_table_json(path: Path, header: Sequence[str], *columns) -> None:
     """
     names = ",\n".join("    " + json.dumps(name) for name in header)
     row = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
-    chunks = _row_chunks(columns)
+    chunks = _row_chunks(_float_columns(columns))
     with open(path, "w") as out:
         out.write(f'{{\n  "columns": [\n{names}\n  ],\n  "rows": [\n')
         separator = ""

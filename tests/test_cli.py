@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 
 import finopt
@@ -96,6 +97,39 @@ class TestSharedParser:
         assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
             "profile_h50.json", "summary.csv", "temperature_h50.json",
         ]
+
+
+# One run of each command that writes, quick enough to repeat per case.
+WRITERS = {
+    "optimize": ["optimize", *BASE, "--h", "20", "--n-cells", "50"],
+    "analytic": ["analytic", *BASE, "--h", "20", "--samples", "5"],
+    "sweep": ["sweep", *BASE, "--h-values", "20", "50", "--samples", "5"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_out_dir_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main([*WRITERS[command], "--out-dir", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {afile}: ")
+        assert "File exists" in err
+        assert afile.read_text() == "kept\n"
+
+    # The last file each command writes: sweep's summary.csv among them.
+    @pytest.mark.parametrize("command, name", [
+        ("optimize", "temperature.csv"), ("analytic", "summary.json"),
+        ("sweep", "summary.csv"),
+    ])
+    def test_output_file_that_cannot_be_written_exits_2(
+            self, tmp_path, capsys, command, name):
+        (tmp_path / name).mkdir()
+        assert main([*WRITERS[command], "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {tmp_path}: ")
+        assert str(tmp_path / name) in err
 
 
 class TestSweep:
@@ -225,6 +259,7 @@ class TestOptimize:
         assert report["versions"] == {
             "finopt": finopt.__version__,
             "numpy": np.__version__,
+            "orjson": orjson.__version__,
             "kernel": finopt.kernels.get_backend(),
         }
         for name in ("profile.csv", "temperature.csv"):

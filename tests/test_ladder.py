@@ -22,9 +22,14 @@ def test_small_ladder_writes_every_rung(tmp_path, capsys):
     bench = json.loads(out.read_text())
 
     assert bench["schema"] == ladder.SCHEMA
-    for key in ("git_revision", "git_dirty", "machine", "platform", "cpu", "nproc",
-                "python", "numpy", "finopt", "kernel", "physics"):
+    for key in ("git_revision", "git_dirty", "git_diff_sha256", "machine", "platform",
+                "cpu", "nproc", "python", "numpy", "orjson", "finopt", "kernel",
+                "physics"):
         assert key in bench
+    if bench["git_dirty"]:
+        assert len(bench["git_diff_sha256"]) == 64
+    else:
+        assert bench["git_diff_sha256"] is None
     assert bench["sizes"] == [1000] and bench["calls"] == 3
     assert [row["rung"] for row in bench["rungs"]] == list(ladder.RUNGS)
     for row in bench["rungs"]:

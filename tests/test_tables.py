@@ -26,21 +26,56 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 
 def per_value_table(header, *columns):
-    """The CSV bytes written one value at a time: the writers' oracle."""
+    """The CSV bytes written one value at a time: the chunked writers' oracle."""
     rows = zip(*columns)
     lines = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
 
+def significant_digits(text):
+    """The significant digits of a decimal spelling of a float: no sign,
+    point, exponent, or leading and trailing zeros ("" for a zero)."""
+    mantissa = text.lower().lstrip("-").partition("e")[0]
+    return mantissa.replace(".", "").strip("0")
+
+
+def assert_spells(text, value):
+    """text reads back to value bit for bit and has the shortest digits
+    that do, those of repr(value); the exponent's spelling is free."""
+    value = float(value)
+    assert float(text).hex() == value.hex(), (text, value)
+    assert significant_digits(text) == significant_digits(repr(value)), (text, value)
+
+
+def assert_table_spells(path, *columns):
+    """Every field of the CSV table at path spells its column's value."""
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(columns[0])
+    for line, row in zip(lines, zip(*columns)):
+        fields = line.split(",")
+        assert len(fields) == len(row)
+        for field, value in zip(fields, row):
+            assert_spells(field, value)
+
+
 class TestFormatFloat:
     @given(value=finite_floats)
     @settings(max_examples=500)
-    def test_seventeen_digits_round_trip(self, value):
-        assert float(format_float(value)) == value
+    def test_shortest_digits_round_trip(self, value):
+        assert_spells(format_float(value), value)
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_edge_values_round_trip(self, value):
+        assert_spells(format_float(value), value)
 
     def test_exact_examples(self):
-        assert format_float(0.1) == "0.10000000000000001"
-        assert format_float(1.0) == "1"
+        assert format_float(0.1) == "0.1"
+        assert format_float(1.0) == "1.0"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_float(value)
 
 
 class TestChunkedWriters:
@@ -59,10 +94,52 @@ class TestChunkedWriters:
         path = tmp_path / "profile.csv"
         write_profile_csv(path, x, t)
         assert path.read_bytes() == per_value_table(("x", "t", "t_half"), x, t, 0.5 * t)
+        assert_table_spells(path, x, t, 0.5 * t)
 
         path = tmp_path / "temperature.csv"
         write_temperature_csv(path, x, theta)
         assert path.read_bytes() == per_value_table(("x", "theta"), x, theta)
+        assert_table_spells(path, x, theta)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "writer, header, column",
+        [(write_profile_csv, ("x", "t"), 0), (write_profile_csv, ("x", "t"), 1),
+         (write_temperature_csv, ("x", "theta"), 0),
+         (write_temperature_csv, ("x", "theta"), 1)],
+        ids=["profile-x", "profile-t", "temperature-x", "temperature-theta"],
+    )
+    def test_non_finite_value_is_refused(self, tmp_path, writer, header, column, value):
+        # The first bad row is named, in a later chunk than the first, with
+        # its column; a later bad row of the other column does not matter.
+        # Nothing is written: a table with NaN or infinities cannot be read.
+        columns = [np.arange(3 * CHUNK_ROWS, dtype=float), np.ones(3 * CHUNK_ROWS)]
+        row = CHUNK_ROWS + 2
+        columns[column][row] = value
+        columns[1 - column][row + 3] = np.nan
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError) as info:
+            writer(path, *columns)
+        assert str(info.value) == (
+            f"{path}: row {row}, column {header[column]!r}: "
+            f"cannot write the non-finite value {value}"
+        )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("writer", [write_profile_csv, write_temperature_csv])
+    def test_long_table_writes_in_bounded_memory(self, tmp_path, writer):
+        # 1e5 rows are about 5 MB of text; beyond the n-long t/2 column
+        # that write_profile_csv makes, the writers hold one chunk of it.
+        x = np.linspace(0.0, 0.2, 100_001)
+        y = (0.2 - x) ** 2
+        made = x.nbytes if writer is write_profile_csv else 0
+        tracemalloc.start()
+        try:
+            writer(tmp_path / "long.csv", x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - made < 2**19
 
 
 class TestJsonTableWriter:
@@ -129,7 +206,7 @@ class TestProfileRoundTrip:
         write_profile_csv(path, np.array([0.0, 1.0]), np.array([2.0, 4.0]))
         lines = path.read_text().splitlines()
         assert lines[0] == "x,t,t_half"
-        assert lines[1].split(",")[2] == "1"
+        assert lines[1].split(",")[2] == "1.0"
 
     def test_temperature_header(self, tmp_path):
         path = tmp_path / "temp.csv"
