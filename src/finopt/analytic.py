@@ -14,6 +14,7 @@ Biot number is exactly one; fins of any other shape break that balance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,16 @@ __all__ = [
 
 
 def optimal_length(problem: FinProblem) -> float:
-    """Compliance-minimizing fin length for the given area budget."""
-    return float(np.cbrt(3.0 * problem.k * problem.area / problem.h))
+    """Compliance-minimizing fin length for the given area budget.
+
+    Raises DomainError where the length underflows to zero or overflows:
+    there is no fin to sample or mesh.
+    """
+    L = float(np.cbrt(3.0 * problem.k * problem.area / problem.h))
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"the closed-form length L* = (3 k area / h)^(1/3) "
+                          f"is {L}, outside float64's range")
+    return L
 
 
 def _resolve_length(problem: FinProblem, length: float | None) -> float:
@@ -57,11 +66,14 @@ def _checked_positions(x, length: float) -> np.ndarray:
 
 
 def optimal_thickness(problem: FinProblem, x, length: float | None = None):
-    """Optimal thickness profile t(x) = (h/k)(L - x)^2; zero exactly at x = L."""
+    """Optimal thickness profile t(x) = (h/k)(L - x)^2; zero exactly at x = L.
+
+    The square is d * d, which gives scalars and arrays the same bits.
+    """
     L = _resolve_length(problem, length)
-    xv = _checked_positions(x, L)
-    t = (problem.h / problem.k) * (L - xv) ** 2
-    return float(t) if xv.ndim == 0 else t
+    d = L - _checked_positions(x, L)
+    t = (problem.h / problem.k) * (d * d)
+    return float(t) if d.ndim == 0 else t
 
 
 def optimal_temperature(problem: FinProblem, x, length: float | None = None):
@@ -114,6 +126,17 @@ class ResistanceBreakdown:
     biot: float
 
 
+def _split(r_fin: float, r_conv: float) -> ResistanceBreakdown:
+    """The breakdown of r_fin against r_conv, with r_fin stored as r_cond + r_conv."""
+    r_cond = r_fin - r_conv
+    return ResistanceBreakdown(
+        r_fin=r_cond + r_conv,
+        r_cond=r_cond,
+        r_conv=r_conv,
+        biot=r_cond / r_conv,
+    )
+
+
 def resistance_breakdown(
     problem: FinProblem, compliance: float, length: float
 ) -> ResistanceBreakdown:
@@ -124,15 +147,7 @@ def resistance_breakdown(
         raise DomainError(f"compliance must be nonnegative, got {compliance}")
     if not length > 0.0:
         raise DomainError(f"length must be positive, got {length}")
-    r_fin_raw = compliance / (problem.q0 * problem.q0)
-    r_conv = 1.0 / (2.0 * problem.h * length)
-    r_cond = r_fin_raw - r_conv
-    return ResistanceBreakdown(
-        r_fin=r_cond + r_conv,
-        r_cond=r_cond,
-        r_conv=r_conv,
-        biot=r_cond / r_conv,
-    )
+    return _split(compliance / (problem.q0 * problem.q0), 1.0 / (2.0 * problem.h * length))
 
 
 def optimal_resistance_breakdown(
@@ -144,17 +159,8 @@ def optimal_resistance_breakdown(
     halving and the same-binade subtraction are exact in floating point, so
     biot comes out as exactly 1.0 for every valid problem.
     """
-    L = _resolve_length(problem, length)
-    hl = problem.h * L
-    r_fin = 1.0 / hl
-    r_conv = 1.0 / (2.0 * hl)
-    r_cond = r_fin - r_conv
-    return ResistanceBreakdown(
-        r_fin=r_cond + r_conv,
-        r_cond=r_cond,
-        r_conv=r_conv,
-        biot=r_cond / r_conv,
-    )
+    hl = problem.h * _resolve_length(problem, length)
+    return _split(1.0 / hl, 1.0 / (2.0 * hl))
 
 
 @dataclass(frozen=True)
@@ -178,11 +184,12 @@ class OptimalSolution:
 
 
 def optimal_solution(problem: FinProblem) -> OptimalSolution:
+    """The closed-form optimum; its root values are the closed forms at x = 0."""
     L = optimal_length(problem)
     return OptimalSolution(
         problem=problem,
         length=L,
-        root_thickness=problem.h * L * L / problem.k,
-        root_temp_diff=problem.q0 / (problem.h * L),
+        root_thickness=optimal_thickness(problem, 0.0, L),
+        root_temp_diff=optimal_temperature(problem, 0.0, L),
         compliance=optimal_compliance(problem, L),
     )

@@ -25,7 +25,8 @@ exactly and reproduces the run's compliance.
 
 Exit codes: 0 success, 1 numerical failure or failed optimality checks,
 2 usage or configuration errors, among them an --out-dir that cannot be
-made or written.
+made or written and a closed form outside float64 (analytic and sweep
+then write no table).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +44,7 @@ import orjson
 
 from . import __version__, kernels
 from .analytic import (
+    OptimalSolution,
     duffin_equivalent_flux,
     optimal_solution,
     resistance_breakdown,
@@ -59,17 +62,12 @@ from .optimizer import (
 from .problem import FinProblem
 from .solver import compliance, solve_temperature
 from .tables import (
-    format_float,
     read_profile_csv,
     write_json,
     write_profile_csv,
+    write_table_csv,
     write_table_json,
     write_temperature_csv,
-)
-
-SUMMARY_KEYS = (
-    "L", "t0", "theta0", "compliance",
-    "r_fin", "r_cond", "r_conv", "biot", "duffin_flux",
 )
 
 #: Limits of the optimality checks (see _threshold_checks).
@@ -120,16 +118,31 @@ def _writing_to(out_dir: Path):
         raise DomainError(f"cannot write to {out_dir}: {exc}") from exc
 
 
-def _write_optimum(args: argparse.Namespace, problem: FinProblem,
-                   suffix: str = "") -> dict:
-    """Write the closed-form optimum's sampled tables into args.out_dir,
-    which must exist; return its summary.
+def _closed_form(args: argparse.Namespace, problem: FinProblem
+                 ) -> tuple[OptimalSolution, dict]:
+    """The closed-form optimum and its summary, checked before any table is
+    sampled or written.
 
-    The tables are profile{suffix} and temperature{suffix} in args.format.
+    numpy's floating-point warnings are off while the summary is computed,
+    because every value is checked after: a DomainError names the first
+    one outside float64's range.
     """
     if args.samples < 2:
         raise DomainError(f"--samples must be at least 2, got {args.samples}")
-    sol = optimal_solution(problem)
+    with np.errstate(all="ignore"):
+        sol = optimal_solution(problem)
+        summary = {"L": sol.length, "t0": sol.root_thickness, "theta0": sol.root_temp_diff,
+                   "compliance": sol.compliance, **dataclasses.asdict(sol.resistances()),
+                   "duffin_flux": duffin_equivalent_flux(problem)}
+    for key, value in summary.items():
+        if not math.isfinite(value):
+            raise DomainError(f"the closed-form {key} is {value}, outside float64's range")
+    return sol, summary
+
+
+def _write_tables(args: argparse.Namespace, sol: OptimalSolution, suffix: str = "") -> None:
+    """Write the optimum's sampled tables, profile{suffix} and
+    temperature{suffix} in args.format, into args.out_dir, which must exist."""
     xs = np.linspace(0.0, sol.length, args.samples)
     t = np.asarray(sol.thickness(xs))
     theta = np.asarray(sol.temperature(xs))
@@ -143,19 +156,6 @@ def _write_optimum(args: argparse.Namespace, problem: FinProblem,
                          xs, t, 0.5 * t)
         write_table_json(out / f"temperature{suffix}.json", ("x", "theta"), xs, theta)
 
-    breakdown = sol.resistances()
-    return {
-        "L": sol.length,
-        "t0": sol.root_thickness,
-        "theta0": sol.root_temp_diff,
-        "compliance": sol.compliance,
-        "r_fin": breakdown.r_fin,
-        "r_cond": breakdown.r_cond,
-        "r_conv": breakdown.r_conv,
-        "biot": breakdown.biot,
-        "duffin_flux": duffin_equivalent_flux(problem),
-    }
-
 
 def _config_echo(args: argparse.Namespace, command: str, **extra) -> dict:
     echo = {"command": command, "k": args.k, "area": args.area, "q0": args.q0}
@@ -164,10 +164,11 @@ def _config_echo(args: argparse.Namespace, command: str, **extra) -> dict:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
+    sol, summary = _closed_form(args, _problem_from_args(args))
+    summary["config"] = _config_echo(args, "analytic", h=args.h,
+                                     samples=args.samples, format=args.format)
     with _writing_to(args.out_dir):
-        summary = _write_optimum(args, _problem_from_args(args))
-        summary["config"] = _config_echo(args, "analytic", h=args.h,
-                                         samples=args.samples, format=args.format)
+        _write_tables(args, sol)
         write_json(args.out_dir / "summary.json", summary)
     print(f"optimal fin: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m, "
           f"compliance = {summary['compliance']:.6g} W K/m")
@@ -189,17 +190,14 @@ def _h_label(h: float) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if len(set(args.h_values)) < len(args.h_values):
         raise DomainError(f"--h-values repeats a value: {args.h_values}")
-    problems = [(h, _problem_from_args(args, h=h)) for h in args.h_values]
-
+    sols, summaries = zip(*[_closed_form(args, _problem_from_args(args, h=h))
+                            for h in args.h_values])
     with _writing_to(args.out_dir):
-        summaries = [(h, _write_optimum(args, problem, f"_h{_h_label(h)}"))
-                     for h, problem in problems]
-        summary_lines = [",".join(("h",) + SUMMARY_KEYS)] + [
-            ",".join([format_float(h)] + [format_float(summary[k]) for k in SUMMARY_KEYS])
-            for h, summary in summaries
-        ]
-        (args.out_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
-    for h, summary in summaries:
+        for h, sol in zip(args.h_values, sols):
+            _write_tables(args, sol, f"_h{_h_label(h)}")
+        write_table_csv(args.out_dir / "summary.csv", ("h", *summaries[0]), args.h_values,
+                        *([summary[key] for summary in summaries] for key in summaries[0]))
+    for h, summary in zip(args.h_values, summaries):
         print(f"h = {_h_text(h)}: L = {summary['L']:.6g} m, t0 = {summary['t0']:.6g} m")
     return 0
 

@@ -27,7 +27,6 @@ ordering are then checked on the whole arrays.  Lines end at ``\n``,
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from bisect import bisect_right
 from pathlib import Path
@@ -37,14 +36,6 @@ import numpy as np
 import orjson
 
 from .errors import ProfileFormatError
-
-
-def format_float(value: float) -> str:
-    """value as the CSV writers spell it: the shortest digits that round-trip."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"cannot write the non-finite value {value} to a CSV table")
-    return orjson.dumps(value).decode()
 
 
 # Rows formatted per write: large enough to amortise the call, small
@@ -102,8 +93,12 @@ def _refuse_non_finite(path: Path, header: Sequence[str],
                          f"the non-finite value {columns[j][row]}")
 
 
-def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
-    """One orjson call per chunk: its [[a,b],[c,d]] becomes the lines a,b and c,d."""
+def write_table_csv(path: Path, header: Sequence[str], *columns) -> None:
+    """CSV table of the given columns under the header; a ValueError names
+    the first non-finite value, and nothing is written.
+
+    One orjson call per chunk: its [[a,b],[c,d]] becomes the lines a,b and c,d.
+    """
     columns = _float_columns(columns)
     _refuse_non_finite(path, header, columns)
     with open(path, "wb") as out:
@@ -116,11 +111,11 @@ def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
 
 def write_profile_csv(path: Path, x: np.ndarray, t: np.ndarray) -> None:
     """Profile table: x, full thickness, and the half-profile t/2."""
-    _write_columns(path, ("x", "t", "t_half"), x, t, 0.5 * np.asarray(t))
+    write_table_csv(path, ("x", "t", "t_half"), x, t, 0.5 * np.asarray(t))
 
 
 def write_temperature_csv(path: Path, x: np.ndarray, theta: np.ndarray) -> None:
-    _write_columns(path, ("x", "theta"), x, theta)
+    write_table_csv(path, ("x", "theta"), x, theta)
 
 
 def write_table_json(path: Path, header: Sequence[str], *columns) -> None:

@@ -172,12 +172,8 @@ class TestOptimalSolutionBundle:
     def test_fields_agree_with_functions(self, base_problem):
         sol = optimal_solution(base_problem)
         assert sol.length == optimal_length(base_problem)
-        assert sol.root_thickness == pytest.approx(
-            optimal_thickness(base_problem, 0.0), rel=1e-15
-        )
-        assert sol.root_temp_diff == pytest.approx(
-            optimal_temperature(base_problem, 0.0), rel=1e-15
-        )
+        assert sol.root_thickness == optimal_thickness(base_problem, 0.0)
+        assert sol.root_temp_diff == optimal_temperature(base_problem, 0.0)
         assert sol.compliance == optimal_compliance(base_problem)
         assert sol.resistances().biot == 1.0
 
@@ -190,3 +186,29 @@ class TestOptimalSolutionBundle:
         assert np.allclose(
             sol.temperature(x), optimal_temperature(base_problem, x), rtol=1e-15
         )
+
+    def test_root_values_are_the_sampled_first_row(self):
+        # t0 and theta0 are the closed forms at x = 0, so a table sampled
+        # from x = 0 starts with them bit for bit, and every scalar
+        # position gets the bits of the same position in an array.
+        rng = np.random.default_rng(33)
+        for _ in range(1000):
+            p = FinProblem(k=10.0 ** rng.uniform(-1, 3), h=10.0 ** rng.uniform(0, 3),
+                           area=10.0 ** rng.uniform(-7, -3), q0=10.0 ** rng.uniform(-1, 3))
+            sol = optimal_solution(p)
+            x = np.linspace(0.0, sol.length, 7)
+            t, theta = sol.thickness(x), sol.temperature(x)
+            assert sol.root_thickness == t[0]
+            assert sol.root_temp_diff == theta[0]
+            assert [sol.thickness(float(xi)) for xi in x] == t.tolist()
+            assert [sol.temperature(float(xi)) for xi in x] == theta.tolist()
+
+
+class TestOutsideFloat64:
+    # (k, h, area, q0) of valid problems whose L* underflows to 0 or overflows.
+    @pytest.mark.parametrize("args", [(1e-300, 1e300, 1e-300, 1.0),
+                                      (1e300, 1e-300, 1e10, 1.0)],
+                             ids=["length-zero", "length-inf"])
+    def test_length_out_of_range_is_a_domain_error(self, args):
+        with pytest.raises(DomainError, match="closed-form length L"):
+            optimal_length(FinProblem(*args))

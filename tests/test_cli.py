@@ -31,6 +31,18 @@ CHECK_LIMITS = {
 }
 
 
+# Valid physics whose closed form leaves float64, and the quantity that the
+# error names: L* underflows to 0, L* overflows, and theta0 overflows.
+OUTSIDE_FLOAT64 = {
+    "length-zero": (["--k", "1e-300", "--h", "1e300", "--area", "1e-300", "--q0", "1"],
+                    "length L*"),
+    "length-inf": (["--k", "1e300", "--h", "1e-300", "--area", "1e10", "--q0", "1"],
+                   "length L*"),
+    "theta0-inf": (["--k", "1", "--h", "1", "--area", "1e-300", "--q0", "1e300"],
+                   "theta0"),
+}
+
+
 def run_analytic(out_dir, extra=()):
     return main(["analytic", *BASE, "--h", "20", "--out-dir", str(out_dir), *extra])
 
@@ -83,6 +95,19 @@ class TestAnalytic:
         assert table["columns"] == ["x", "t", "t_half"]
         assert len(table["rows"]) == 201
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("shape", OUTSIDE_FLOAT64)
+    def test_closed_form_outside_float64_exits_2(self, tmp_path, capsys, shape, fmt):
+        # Checked before anything is sampled or written: no table, no directory.
+        physics, quantity = OUTSIDE_FLOAT64[shape]
+        out = tmp_path / "out"
+        assert main(["analytic", *physics, "--format", fmt, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the closed-form {quantity}")
+        assert err.endswith(", outside float64's range\n")
+        assert not out.exists()
+
 
 class TestSharedParser:
     def test_options_do_not_leak_between_calls(self, tmp_path):
@@ -130,6 +155,18 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write to {tmp_path}: ")
         assert str(tmp_path / name) in err
+
+
+# sweep's summary.csv for BASE and these h values, pinned in every column
+# but t0 (the third), which test_summary_bytes_pinned takes from the tables.
+PINNED_H_VALUES = ("20", "20.0000001", "3.7", "1e-3", "812")
+PINNED_SUMMARY = """\
+h,L,t0,theta0,compliance,r_fin,r_cond,r_conv,biot,duffin_flux
+20.0,0.16868653306034986,0.0028455146435920507,5.928155507483438,118.56311014966874,0.2964077753741719,0.14820388768708595,0.14820388768708595,1.0,3.3737306612069973
+20.0000001,0.16868653277920562,0.0028455146483345743,5.928155487722919,118.56310975445838,0.29640777438614596,0.14820388719307298,0.14820388719307298,1.0,3.373730672452766
+3.7,0.2960441632194787,0.001621379711661945,18.25878053673361,365.17561073467215,0.9129390268366804,0.4564695134183402,0.4564695134183402,1.0,1.0953634039120712
+0.001,4.5788569702133275,0.00010482965576835587,4367.902323681495,87358.04647362989,218.39511618407474,109.19755809203737,109.19755809203737,1.0,0.004578856970213327
+812.0,0.04908005807381839,0.009779939528149307,0.5018441876102887,10.036883752205775,0.025092209380514437,0.012546104690257218,0.012546104690257218,1.0,39.85300715594053"""
 
 
 class TestSweep:
@@ -193,6 +230,59 @@ class TestSweep:
         assert code == 2
         assert "--h-values" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("physics, h_values, quantity", [
+        (["--k", "1e-150", "--area", "1e-150", "--q0", "1"], ["1", "1e300"], "length L*"),
+        (["--k", "1e300", "--area", "1", "--q0", "1"], ["1", "1e-300"], "length L*"),
+        (["--k", "1", "--area", "1e-200", "--q0", "1e100"], ["1", "1e-300"], "theta0"),
+    ], ids=["length-zero", "length-inf", "theta0-inf"])
+    def test_closed_form_outside_float64_writes_no_table(
+            self, tmp_path, capsys, physics, h_values, quantity):
+        # The first h has a closed form in range, but every h is evaluated
+        # before any table is written, so it gets none either.
+        assert main(["analytic", *physics, "--h", h_values[0], "--samples", "5",
+                     "--out-dir", str(tmp_path / "first")]) == 0
+        out = tmp_path / "out"
+        assert main(["sweep", *physics, "--h-values", *h_values,
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: the closed-form {quantity}")
+        assert not out.exists()
+
+    def test_summary_bytes_pinned(self, tmp_path):
+        # t0 is the closed form at x = 0, so it spells the profile table's first t.
+        assert main(["sweep", *BASE, "--h-values", *PINNED_H_VALUES, "--samples", "5",
+                     "--out-dir", str(tmp_path)]) == 0
+        header, *rows = PINNED_SUMMARY.splitlines()
+        expected = [header]
+        for row, h in zip(rows, PINNED_H_VALUES):
+            fields = row.split(",")
+            profile = tmp_path / f"profile_h{_h_label(float(h))}.csv"
+            fields[2] = profile.read_text().splitlines()[1].split(",")[1]
+            expected.append(",".join(fields))
+        assert (tmp_path / "summary.csv").read_text() == "\n".join(expected) + "\n"
+
+    def test_root_values_are_the_tables_first_rows(self, tmp_path):
+        # 1000 drawn problems, 20 h values a sweep: t0 and theta0 in
+        # summary.csv spell the first t and theta of their tables.
+        rng = np.random.default_rng(32)
+        for sweep in range(50):
+            physics = ["--k", repr(10.0 ** rng.uniform(-1, 3)),
+                       "--area", repr(10.0 ** rng.uniform(-7, -3)),
+                       "--q0", repr(10.0 ** rng.uniform(-1, 3))]
+            h_values = [repr(h) for h in (10.0 ** rng.uniform(0, 3, 20)).tolist()]
+            out = tmp_path / str(sweep)
+            assert main(["sweep", *physics, "--h-values", *h_values, "--samples", "2",
+                         "--out-dir", str(out)]) == 0
+            lines = (out / "summary.csv").read_text().splitlines()
+            assert lines[0].split(",")[:4] == ["h", "L", "t0", "theta0"]
+            for line, h in zip(lines[1:], h_values):
+                t0, theta0 = line.split(",")[2:4]
+                label = _h_label(float(h))
+                first = (out / f"profile_h{label}.csv").read_text().splitlines()[1]
+                assert first.split(",")[:2] == ["0.0", t0]
+                first = (out / f"temperature_h{label}.csv").read_text().splitlines()[1]
+                assert first.split(",") == ["0.0", theta0]
 
     @pytest.mark.parametrize("h", [3.7, 0.125, 1e-05, 2.5e-07, 123.456, 99999.5])
     def test_labels_up_to_six_digits_unchanged(self, h):
@@ -395,6 +485,15 @@ class TestOptimize:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_underflowing_closed_form_length_exits_2(self, tmp_path, capsys):
+        # The length search starts from L*, so the error names it, not the
+        # zero-length mesh it would make.
+        physics, _ = OUTSIDE_FLOAT64["length-zero"]
+        out = tmp_path / "out"
+        assert main(["optimize", *physics, "--n-cells", "50", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: the closed-form length L*")
+        assert not out.exists()
 
     def test_four_and_five_cells_pass_every_check(self, tmp_path, capsys):
         # The long fin's support is one face, so the length law gives

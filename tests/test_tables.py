@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from finopt.errors import ProfileFormatError
 from finopt.tables import (
     CHUNK_ROWS,
-    format_float,
     read_profile_csv,
     write_profile_csv,
+    write_table_csv,
     write_table_json,
     write_temperature_csv,
 )
@@ -25,10 +25,28 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e-300, -1e-300, 1e300, -1e300, 0.1, 1.0)
 
 
-def per_value_table(header, *columns):
-    """The CSV bytes written one value at a time: the chunked writers' oracle."""
-    rows = zip(*columns)
-    lines = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
+def spell(directory, value):
+    """value as the CSV writer spells it: the field of a one-row,
+    one-column table written into directory."""
+    path = directory / "one-value.csv"
+    write_table_csv(path, ("v",), [value])
+    return path.read_text().splitlines()[1]
+
+
+def per_value_table(directory, header, *columns):
+    """The CSV bytes written one value at a time: the chunked writers' oracle.
+
+    Each distinct value (by its bits, so 0.0 and -0.0 apart) is spelled once.
+    """
+    spelled = {}
+
+    def field(value):
+        key = float(value).hex()
+        if key not in spelled:
+            spelled[key] = spell(directory, value)
+        return spelled[key]
+
+    lines = [",".join(header)] + [",".join(map(field, row)) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -59,23 +77,28 @@ def assert_table_spells(path, *columns):
 
 
 class TestFormatFloat:
+    """How write_table_csv spells one float, read from one-row tables."""
+
     @given(value=finite_floats)
-    @settings(max_examples=500)
-    def test_shortest_digits_round_trip(self, value):
-        assert_spells(format_float(value), value)
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_shortest_digits_round_trip(self, tmp_path, value):
+        assert_spells(spell(tmp_path, value), value)
 
     @pytest.mark.parametrize("value", EDGE_FLOATS)
-    def test_edge_values_round_trip(self, value):
-        assert_spells(format_float(value), value)
+    def test_edge_values_round_trip(self, tmp_path, value):
+        assert_spells(spell(tmp_path, value), value)
 
-    def test_exact_examples(self):
-        assert format_float(0.1) == "0.1"
-        assert format_float(1.0) == "1.0"
+    def test_exact_examples(self, tmp_path):
+        assert spell(tmp_path, 0.1) == "0.1"
+        assert spell(tmp_path, 1.0) == "1.0"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_refused(self, value):
+    def test_non_finite_refused(self, tmp_path, value):
+        path = tmp_path / "one-value.csv"
         with pytest.raises(ValueError, match="non-finite"):
-            format_float(value)
+            write_table_csv(path, ("v",), [value])
+        assert not path.exists()
 
 
 class TestChunkedWriters:
@@ -93,12 +116,13 @@ class TestChunkedWriters:
 
         path = tmp_path / "profile.csv"
         write_profile_csv(path, x, t)
-        assert path.read_bytes() == per_value_table(("x", "t", "t_half"), x, t, 0.5 * t)
+        assert path.read_bytes() == per_value_table(
+            tmp_path, ("x", "t", "t_half"), x, t, 0.5 * t)
         assert_table_spells(path, x, t, 0.5 * t)
 
         path = tmp_path / "temperature.csv"
         write_temperature_csv(path, x, theta)
-        assert path.read_bytes() == per_value_table(("x", "theta"), x, theta)
+        assert path.read_bytes() == per_value_table(tmp_path, ("x", "theta"), x, theta)
         assert_table_spells(path, x, theta)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
