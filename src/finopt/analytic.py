@@ -95,11 +95,19 @@ def optimal_lagrange_multiplier(problem: FinProblem, length: float | None = None
     """Marginal compliance value of area at the optimum: k q0^2 / (h L^2)^2.
 
     Equals k (dtheta/dx)^2 for the optimal fin's constant temperature
-    gradient; the shape optimizer's multiplier should land here.
+    gradient; the shape optimizer's multiplier should land here.  Raises
+    DomainError where it overflows.
     """
     L = _resolve_length(problem, length)
     hl2 = problem.h * L * L
-    return problem.k * (problem.q0 / hl2) ** 2
+    try:
+        multiplier = problem.k * (problem.q0 / hl2) ** 2
+    except (OverflowError, ZeroDivisionError):
+        multiplier = math.inf
+    if not multiplier < math.inf:
+        raise DomainError(f"the closed-form Lagrange multiplier k q0^2 / (h L^2)^2 "
+                          f"is {multiplier}, outside float64's range")
+    return multiplier
 
 
 def duffin_equivalent_flux(problem: FinProblem) -> float:

@@ -14,23 +14,32 @@ arrays it is given or returns.  The CSV and JSON table writers stage one
 chunk of ``CHUNK_ROWS`` rows at a time in a (CHUNK_ROWS, columns) buffer,
 format it with one call (``orjson.dumps`` for CSV, one ``%`` operation for
 JSON) and stream it through one open file.
-The reader streams the open file line by line: it splits each line and
-appends its x and t to two ``array('d')`` buffers, which numpy then views
-without a copy.  It keeps no text of the file, no list of lines and no
-Python float per row; only blank lines are remembered, by the row they
-precede, so that an error can name its line.  Finiteness, sign and
-ordering are then checked on the whole arrays.  Lines end at ``\n``,
-``\r\n`` or ``\r`` (Python's universal newlines); other characters that
-``str.splitlines`` would break at, such as form feed, stay inside a line.
+The reader reads the file as bytes, ``CHUNK_BYTES`` at a time, each block
+cut at its last line end.  Lines end at ``\n``, ``\r\n`` or ``\r``
+(Python's universal newlines); other characters that ``str.splitlines``
+would break at, such as form feed, stay inside a line.  A block whose
+lines each hold the header's number of fields, all JSON numbers, is
+parsed by one ``orjson.loads`` of its lines joined into one list.  Every
+other block goes through the line loop, which splits each line and reads
+x and t with ``float()``: blank lines, whitespace, ``.5``, ``inf``,
+``1e400`` and the other spellings that orjson refuses or reads otherwise.
+Both give the same floats bit for bit, and the loop names every fault;
+the tests hold the reader to the loop run over the whole file.  x and t
+go into two ``array('d')`` buffers, which numpy then views without a
+copy.  Beyond them the reader keeps one block and its floats; only blank
+lines are remembered, by the row they precede, so that an error can name
+its line.  Finiteness, sign and ordering are then checked on the whole
+arrays.  Text is UTF-8: bytes that are not are a fault of their line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from array import array
 from bisect import bisect_right
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -45,6 +54,13 @@ from .errors import ProfileFormatError
 # of that output, so 512 rows fit the 64 KiB step; the closed-form
 # profile's 1024 rows, about 67 KB, would take 256 KiB.
 CHUNK_ROWS = 512
+
+# Bytes read per block: about a thousand rows of a three-column table,
+# whose orjson list of Python floats takes about 100 KB.
+CHUNK_BYTES = 1 << 16
+
+# Every byte of a JSON number, and the comma and line end between them.
+_NUMBER_BYTES = b"0123456789.eE+-,\n"
 
 
 def _float_columns(columns) -> list[np.ndarray]:
@@ -150,15 +166,22 @@ def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
     Extra columns (like t_half) are ignored.  Errors name the earliest
     offending line, counting from 1 at the header; blank lines count.
-    The file is streamed, so memory grows only by the 16 bytes of each
-    row's x and t.
+    The file is read a block at a time, so beyond one block memory grows
+    only by the 16 bytes of each row's x and t.
     """
     try:
-        with open(path) as source:
-            xs, ts, blanks, fault = _parse_rows(path, source)
+        with open(path, "rb") as source:
+            xs, ts, blanks, fault = _read_rows(path, source)
     except OSError as exc:
         raise ProfileFormatError(f"cannot read {path}: {exc}") from exc
+    return _checked_columns(path, xs, ts, blanks, fault)
 
+
+def _checked_columns(
+    path: Path, xs: array, ts: array, blanks: array, fault: tuple | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and t of the rows read, or the ProfileFormatError of their
+    earliest fault."""
     x, t = np.frombuffer(xs), np.frombuffer(ts)
     # A bad value on a row before the unparsable one is the earlier fault.
     bad = _first_bad_row(x, t)
@@ -174,48 +197,165 @@ def read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
-def _parse_rows(
-    path: Path, source: TextIO
+def _read_rows(
+    path: Path, source: BinaryIO
 ) -> tuple[array, array, array, tuple | None]:
     """(xs, ts, blanks, fault) of a table's lines, up to the first that fails
-    to parse.
+    to parse, as ``_parse_rows`` gives them for the whole file.
 
-    xs and ts hold x and t of each row; blanks holds, for each blank line,
-    the number of rows before it; fault is (line, message, cause) of the
-    first line that does not parse, or None.
+    A block of numbers only is parsed by ``_number_rows``; any other block
+    goes through ``_parse_rows``.
     """
-    first = source.readline()
+    blocks = _line_blocks(source)
+    first = next(blocks, b"")
     if not first:
         raise ProfileFormatError(f"{path}: line 1: file is empty, expected a header")
-    first = first.rstrip("\n")
+    header, _, first = first.partition(b"\n")
+    try:
+        columns = _header_columns(path, header.decode())
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"{path}: line 1: {_decode_message(exc)}") from exc
+
+    fields, ix, it = columns
+    xs, ts, blanks = array("d"), array("d"), array("q")
+    lineno = 2
+    for block in itertools.chain((first,), blocks):
+        rows = _number_rows(block, fields)
+        if rows is None:
+            fault = _parse_block(block, lineno, columns, xs, ts, blanks)
+            if fault is not None:
+                return xs, ts, blanks, fault
+            lineno += block.count(b"\n")
+        else:
+            xs.frombytes(rows[:, ix].tobytes())
+            ts.frombytes(rows[:, it].tobytes())
+            lineno += len(rows)
+    return xs, ts, blanks, None
+
+
+def _line_blocks(source: BinaryIO) -> Iterator[bytes]:
+    """The file's whole lines, about CHUNK_BYTES bytes of them at a time,
+    each line ending in ``\n``.
+
+    ``\r\n`` and ``\r`` end a line as ``\n`` does (Python's universal
+    newlines); a final line without an end gets one.  A read that ends in
+    ``\r`` holds it back, since the next read may start with its ``\n``.
+    """
+    pieces: list[bytes] = []  # the unfinished line
+    held = b""
+    while block := source.read(CHUNK_BYTES):
+        block = held + block
+        held = block[-1:] if block.endswith(b"\r") else b""
+        if held:
+            block = block[:-1]
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        end = block.rfind(b"\n") + 1
+        if end:
+            pieces.append(block[:end])
+            yield b"".join(pieces)
+            pieces = [block[end:]]
+        else:
+            pieces.append(block)
+    tail = b"".join(pieces)
+    if tail or held:
+        yield tail + b"\n"
+
+
+def _header_columns(path: Path, first: str) -> tuple[int, int, int]:
+    """(fields, index of x, index of t) of the header line, without its end."""
     header = [name.strip() for name in first.split(",")]
     if "x" not in header or "t" not in header:
         raise ProfileFormatError(
             f"{path}: line 1: header must contain columns 'x' and 't', got {first!r}"
         )
-    ix = header.index("x")
-    it = header.index("t")
+    return len(header), header.index("x"), header.index("t")
 
-    fields = len(header)
-    xs, ts, blanks = array("d"), array("d"), array("q")
-    for lineno, line in enumerate(source, start=2):
+
+def _number_rows(block: bytes, fields: int) -> np.ndarray | None:
+    """The block's rows as a (rows, fields) float array, or None unless
+    every line holds fields numbers that orjson reads as float() does.
+
+    The block must hold only the bytes of JSON numbers, commas and line
+    ends, and each line exactly fields - 1 commas; the lines then join into
+    one JSON list.  A block that orjson refuses (``.5``, ``1.``, ``+1``,
+    ``00.5``, ``1e400``, an empty field) goes to the line loop, and so does
+    one with an integer ``-0``: orjson reads it as int 0, float() as -0.0.
+    Only a block that holds a zero is searched for one.
+    """
+    if block.translate(None, _NUMBER_BYTES):
+        return None
+    codes = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    commas = np.flatnonzero(codes == ord(","))
+    if commas.size != (fields - 1) * ends.size:
+        return None
+    # Each line's first comma follows the line before, its last precedes
+    # its own end: with the count right, every line has fields - 1.
+    commas = commas.reshape(ends.size, fields - 1)
+    if not ((commas[:, -1] < ends).all() and (commas[1:, 0] > ends[:-1]).all()):
+        return None
+    try:
+        values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    rows = np.array(values, dtype=float).reshape(ends.size, fields)
+    if not rows.all() and (b"-0," in block or b"-0\n" in block):
+        return None
+    return rows
+
+
+def _parse_block(
+    block: bytes, start: int, columns: tuple[int, int, int],
+    xs: array, ts: array, blanks: array,
+) -> tuple | None:
+    """``_parse_rows`` over the block's lines, the first on line start.
+
+    A line that is not UTF-8 is a fault of its own, after those of the
+    lines before it.
+    """
+    try:
+        lines = block.decode()
+    except UnicodeDecodeError as exc:
+        head = block.rfind(b"\n", 0, exc.start) + 1
+        fault = _parse_block(block[:head], start, columns, xs, ts, blanks)
+        lineno = start + block.count(b"\n", 0, head)
+        return fault or (lineno, _decode_message(exc), exc)
+    return _parse_rows(lines.split("\n")[:-1], start, columns, xs, ts, blanks)
+
+
+def _decode_message(exc: UnicodeDecodeError) -> str:
+    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 text ({exc.reason})"
+
+
+def _parse_rows(
+    lines: Iterable[str], start: int, columns: tuple[int, int, int],
+    xs: array, ts: array, blanks: array,
+) -> tuple | None:
+    """Append x and t of each line to xs and ts, the first line being line
+    start, up to the first line that fails to parse.
+
+    A blank line appends the number of rows before it to blanks.  Returns
+    (line, message, cause) of the first line that does not parse, or None.
+    """
+    fields, ix, it = columns
+    for lineno, line in enumerate(lines, start=start):
         parts = line.split(",")
         if len(parts) != fields:
             if not line.strip():
                 blanks.append(len(xs))
                 continue
-            fault = (lineno, f"expected {fields} fields, got {len(parts)}", None)
-            return xs, ts, blanks, fault
+            return lineno, f"expected {fields} fields, got {len(parts)}", None
         try:
             x = float(parts[ix])
             t = float(parts[it])
         except ValueError:
             # float() ignores the line's newline but would quote it.
             cause = _parse_error(line.rstrip("\n").split(","), ix, it)
-            return xs, ts, blanks, (lineno, str(cause), cause)
+            return lineno, str(cause), cause
         xs.append(x)
         ts.append(t)
-    return xs, ts, blanks, None
+    return None
 
 
 def _parse_error(parts: list[str], ix: int, it: int) -> ValueError:

@@ -20,7 +20,7 @@ from finopt import (
     optimal_thickness,
     resistance_breakdown,
 )
-from conftest import ORACLE_H20, ORACLE_H200, ORACLE_RECT
+from conftest import DECADES, ORACLE_H20, ORACLE_H200, ORACLE_RECT
 
 REL = 1e-14  # closed forms should agree with the hand oracles to round-off
 
@@ -212,3 +212,19 @@ class TestOutsideFloat64:
     def test_length_out_of_range_is_a_domain_error(self, args):
         with pytest.raises(DomainError, match="closed-form length L"):
             optimal_length(FinProblem(*args))
+
+    # q0 / (h L*^2) is 2.2e166 and 1.0e233 here: its square overflows.
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 1e-250, 1.0), (1.0, 1.0, 1e-200, 1e100)])
+    def test_multiplier_out_of_range_is_a_domain_error(self, args):
+        with pytest.raises(DomainError, match="closed-form Lagrange multiplier .* is inf"):
+            optimal_lagrange_multiplier(FinProblem(*args))
+
+    @given(log_k=DECADES["log_k"], log_h=DECADES["log_h"],
+           log_area=DECADES["log_area"], log_q0=DECADES["log_q0"])
+    @settings(max_examples=500, deadline=None)
+    def test_finite_multiplier_keeps_its_bits(self, log_k, log_h, log_area, log_q0):
+        problem = FinProblem(k=10.0**log_k, h=10.0**log_h, area=10.0**log_area,
+                             q0=10.0**log_q0)
+        L = optimal_length(problem)
+        expected = problem.k * (problem.q0 / (problem.h * L * L)) ** 2
+        assert optimal_lagrange_multiplier(problem) == expected

@@ -606,6 +606,25 @@ class TestVerify:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_bytes_that_are_not_utf8_exit_2_and_name_line(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"x,t\n0,1\n\xff\xfe,2\n1,0\n")
+        code = main(["verify", str(path), *BASE, "--h", "20", "--n-cells", "10"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: byte 0xff is not UTF-8 text (invalid start byte)\n"
+        )
+
+    def test_crlf_table_reads_the_same_rows(self, tmp_path, capsys):
+        path = self._write_analytic_profile(tmp_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert main(["verify", str(path), *BASE, "--h", "20"]) == 0
+        out = capsys.readouterr().out
+        assert main(["verify", str(crlf), *BASE, "--h", "20"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_empty_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,15 +1,20 @@
 """Lossless table round-trips and parser diagnostics."""
 
 import json
+import random
+import struct
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from finopt import tables
 from finopt.errors import ProfileFormatError
 from finopt.tables import (
+    CHUNK_BYTES,
     CHUNK_ROWS,
     read_profile_csv,
     write_profile_csv,
@@ -342,11 +347,23 @@ class TestParserDiagnostics:
 
 class TestStreamingReader:
     def test_long_table_reads_in_bounded_memory(self, tmp_path):
+        self.assert_reads_in_bounded_memory(tmp_path, "\n")
+
+    # A file that ends its lines in \r alone holds no \n: a reader that
+    # waited for one would hold the whole file.
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_read_in_bounded_memory(self, tmp_path, newline):
+        self.assert_reads_in_bounded_memory(tmp_path, newline)
+
+    @staticmethod
+    def assert_reads_in_bounded_memory(tmp_path, newline):
         # 1e5 rows hold 1.6 MB of x and t; the reader keeps no text, list
-        # of lines or Python float per row beside them.
+        # of lines or Python float per row beside them, only one block.
         path = tmp_path / "long.csv"
         x = np.linspace(0.0, 0.2, 100_001)
         write_profile_csv(path, x, (0.2 - x) ** 2)
+        if newline != "\n":
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         tracemalloc.start()
         try:
             x2, _ = read_profile_csv(path)
@@ -443,3 +460,204 @@ class TestStreamingReader:
         with pytest.raises(ProfileFormatError) as info:
             read_profile_csv(path)
         assert str(info.value) == f"{path}: line 2: expected 2 fields, got 3"
+
+
+def loop_read(path):
+    """The reader as one line loop: the file as text with universal
+    newlines, every line through ``tables._parse_rows``."""
+    with open(path, encoding="utf-8") as source:
+        first = source.readline()
+        if not first:
+            raise ProfileFormatError(f"{path}: line 1: file is empty, expected a header")
+        columns = tables._header_columns(path, first.rstrip("\n"))
+        xs, ts, blanks = array("d"), array("d"), array("q")
+        fault = tables._parse_rows(source, 2, columns, xs, ts, blanks)
+    return tables._checked_columns(path, xs, ts, blanks, fault)
+
+
+def outcome(read, path):
+    """The bytes of x and t that read returns, or its error's text."""
+    try:
+        x, t = read(path)
+    except ProfileFormatError as exc:
+        return str(exc)
+    return x.tobytes(), t.tobytes()
+
+
+# Fields that orjson refuses or reads otherwise than float() (an int -0,
+# ints past 2^53 and 2^64, whitespace), and fields that neither reads.
+ODD_FIELDS = (
+    "-0", "-0.0", "0", "-00", " 1", "1\t", "\u00a01", ".5", "-.5", "1.", "+1", "1_0",
+    "00.5", "01", "inf", "-inf", "nan", "Infinity", "1e400", "-1e400", "1e-400",
+    "-1e-400", "1E5", "1e+5", "9007199254740993", "18446744073709551615",
+    "18446744073709551617", "-9223372036854775809", "-18446744073709551617", "1" + "0" * 400, "", "nope", "é", "1e", "-", "1,5",
+    "true", "null", '"1"', "[1]", "{}",
+)
+
+
+def random_double(rng):
+    """A finite double of random bits: every exponent, subnormals and zeros."""
+    while True:
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if np.isfinite(value):
+            return value
+
+
+def spelled(rng, value):
+    """A spelling of value that float() reads back to it."""
+    kind = rng.randrange(6)
+    if kind == 1:
+        return repr(value).upper()
+    if kind == 2:
+        return "%.17g" % value
+    if kind == 3:
+        return "%.30e" % value  # more digits than a double holds
+    if kind == 4 and value == int(value) and abs(value) < 2.0**70:
+        return str(int(value))
+    return repr(value)
+
+
+def random_table(rng):
+    """Bytes of a table that is mostly numbers, with faults at random."""
+    header = rng.choice([("x", "t"), ("x", "t", "t_half"), ("t", "junk", "x")])
+    rows = rng.randrange(26)
+    scale = rng.choice([1.0, 1e-300, 1e300, 2.0**60])
+    x = np.cumsum([rng.random() * scale + 1e-300 for _ in range(rows)]).tolist()
+    if rng.random() < 0.2:  # values of every exponent, in order
+        x = sorted({abs(random_double(rng)) for _ in range(rows)})
+    odd_rate = rng.choice([0.0, 0.0, 0.02, 0.1])
+    blank_rate = rng.choice([0.0, 0.0, 0.05])
+    lines = [",".join(header)]
+    for xi in x:
+        values = {"x": xi, "t": abs(random_double(rng)) if rng.random() < 0.5
+                  else rng.random()}
+        fields = [spelled(rng, values.get(name, rng.random())) for name in header]
+        fields = [rng.choice(ODD_FIELDS) if rng.random() < odd_rate else field
+                  for field in fields]
+        if rng.random() < odd_rate:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["1"]
+        if rng.random() < blank_rate:
+            lines.append(rng.choice(["", " ", "\t"]))
+        lines.append(",".join(fields))
+    newline = rng.choice(["\n", "\n", "\r\n", "\r"])
+    text = newline.join(lines)
+    if rng.random() < 0.8:
+        text += newline
+    if rng.random() < 0.1:  # mixed line ends
+        text = text.replace(newline, rng.choice(["\n", "\r\n", "\r"]), 1)
+    return text.encode()
+
+
+class TestBlockReader:
+    # 20 seeds of 1000 tables, each read in blocks of 1 to 80 bytes or in
+    # the reader's own blocks, so that block edges fall anywhere.
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_line_loop(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        fast_blocks = []
+        number_rows = tables._number_rows
+
+        def counted(block, fields):
+            rows = number_rows(block, fields)
+            fast_blocks.append(rows is not None and len(rows) > 0)
+            return rows
+
+        monkeypatch.setattr(tables, "_number_rows", counted)
+        path = tmp_path / "fuzz.csv"
+        read = 0
+        for _ in range(1000):
+            path.write_bytes(random_table(rng))
+            monkeypatch.setattr(tables, "CHUNK_BYTES",
+                                rng.choice([rng.randint(1, 80), CHUNK_BYTES]))
+            expected = outcome(loop_read, path)
+            assert outcome(read_profile_csv, path) == expected, path.read_bytes()
+            read += not isinstance(expected, str)
+        # Both paths and both outcomes are drawn often.
+        assert 200 < read < 900
+        assert 0.1 < np.mean(fast_blocks) < 0.9
+
+    @pytest.mark.parametrize("field", ["-0", "-0.0", "1e-400", "-1e-400", "0"])
+    def test_zero_spellings_keep_their_sign(self, tmp_path, field):
+        path = tmp_path / "zero.csv"
+        path.write_text(f"x,t\n{field},1.0\n1,{field}\n")
+        x, t = read_profile_csv(path)
+        assert x.tobytes() + t.tobytes() == np.array(
+            [float(field), 1.0, 1.0, float(field)]).tobytes()
+
+    # Rows of 12 bytes after a 4-byte header fill the first block exactly:
+    # line 5462 is its last line and line 5463 the first of the next.  A
+    # header of 5 bytes splits line 5462 across the edge instead.
+    @pytest.mark.parametrize("header, line", [("x,t", 5462), ("x,t", 5463),
+                                              ("x, t", 5462)],
+                             ids=["last-of-block", "first-of-block", "across-edge"])
+    @pytest.mark.parametrize("row, message", [
+        ("{},nop", "could not convert string to float: 'nop'"),
+        ("{},-10", "negative thickness -10.0"),
+        ("{},1,0", "expected 2 fields, got 3"),
+        ("{}-1.0", "expected 2 fields, got 1"),
+    ])
+    def test_fault_at_a_block_edge_names_its_line(self, tmp_path, header, line, row, message):
+        assert CHUNK_BYTES == 4 + 12 * 5461
+        rows = [f"{1000000 + i},1.0" for i in range(2 * 5461)]
+        rows[line - 2] = row.format(1000000 + line - 2)
+        # A fault after it, of each kind, must not be named instead.
+        rows[-2:] = ["1000000,1.0", "nope"]
+        path = tmp_path / "edge.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: line {line}: {message}"
+        assert outcome(loop_read, path) == str(info.value)
+
+    def test_value_fault_in_a_number_block_before_a_loop_block(self, tmp_path):
+        # The negative t lies in the first block, which orjson reads; the
+        # unparsable row lies in the second.
+        rows = [f"{1000000 + i},1.0" for i in range(2 * 5461)]
+        rows[10] = "1000010,-1.0"
+        rows[6000] = "1006000,oops"
+        path = tmp_path / "two.csv"
+        path.write_text("\n".join(["x,t", *rows]) + "\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: line 12: negative thickness -1.0"
+
+    @pytest.mark.parametrize("text, line", [
+        (b"x,t\n0,1\n\xff\xfe,2\n1,0\n", 3),
+        (b"x,t\n0,1\n\n1,0\n2,\xc3\n", 5),
+        (b"x,\xfft\n0,1\n1,0\n", 1),
+    ], ids=["row", "truncated-sequence", "header"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, text, line):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(text)
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value).startswith(f"{path}: line {line}: byte 0x")
+        assert "is not UTF-8 text" in str(info.value)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,-1", "negative thickness -1.0"),
+        ("0.5,oops", "could not convert string to float: 'oops'"),
+        ("0.5", "expected 2 fields, got 1"),
+    ])
+    def test_earlier_fault_before_bytes_that_are_not_utf8(self, tmp_path, row, message):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"x,t\n0,1\n" + row.encode() + b"\n\xff,2\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
+
+    @pytest.mark.parametrize("text", [b"\r", b"\n", b"\r\n"])
+    def test_file_of_one_line_end_has_an_empty_header(self, tmp_path, text):
+        path = tmp_path / "end.csv"
+        path.write_bytes(text)
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 1: header must contain columns 'x' and 't', got ''"
+        )
+
+    def test_line_longer_than_a_block(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,pad,t\n0," + "1" * (3 * CHUNK_BYTES) + ",2\n1,0,0\n")
+        x, t = read_profile_csv(path)
+        assert x.tolist() == [0.0, 1.0] and t.tolist() == [2.0, 0.0]
