@@ -1,12 +1,14 @@
 """Lossless table round-trips and parser diagnostics."""
 
 import json
+import os
 import random
 import struct
 import tracemalloc
 from array import array
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from finopt.tables import (
     CHUNK_BYTES,
     CHUNK_ROWS,
     read_profile_csv,
+    write_json,
     write_profile_csv,
     write_table_csv,
     write_table_json,
@@ -192,6 +195,160 @@ class TestJsonTableWriter:
             "columns": list(columns),
             "rows": [[float(v) for v in row] for row in zip(x, t, 0.5 * t)],
         }
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def two_d_dump_table(header, *columns):
+    """The CSV bytes of the whole table as one 2-D orjson dump, its
+    [[a,b],[c,d]] cut into the lines a,b and c,d: the flat formatter's
+    oracle."""
+    rows = np.column_stack([np.asarray(column, dtype=float) for column in columns])
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)
+    return (",".join(header) + "\n").encode() + text.replace(b"],[", b"\n")[2:-2] + b"\n"
+
+
+# Values that orjson spells at its edges: signed zeros, the smallest
+# subnormal, the largest double, whole numbers on both sides of 1e16.
+SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 1.0, -1.0, 1e16, -1e16, 1e15,
+                           1e17, 2.0**53, 123456789.0, 0.1, 1e-7])
+
+
+def drawn_column(rng, rows):
+    """rows finite doubles, each a special value, a subnormal, a whole
+    number or a double of random bits."""
+    bits = rng.integers(0, 2**64, rows, dtype=np.uint64)
+    values = bits.view(np.float64).copy()
+    values[~np.isfinite(values)] = 1.5
+    kind = rng.integers(0, 4, rows)
+    subnormal = rng.integers(1, 2**52, rows, dtype=np.uint64).view(np.float64)
+    whole = rng.integers(-10**17, 10**17, rows).astype(float)
+    values = np.where(kind == 0, rng.choice(SPECIAL_FLOATS, rows), values)
+    values = np.where(kind == 1, subnormal * rng.choice([-1.0, 1.0], rows), values)
+    return np.where(kind == 2, whole, values)
+
+
+class TestFlatFormatter:
+    # 10 seeds of 500 tables, each written over the one before, so that
+    # longer and shorter tables are written over each other too.
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bytes_equal_the_two_d_dump(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "table.csv"
+        for _ in range(500):
+            fields = int(rng.integers(1, 4))
+            rows = int(rng.choice([1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   2 * CHUNK_ROWS + 1]))
+            header = ("x", "t", "t_half")[:fields]
+            columns = [drawn_column(rng, rows) for _ in range(fields)]
+            write_table_csv(path, header, *columns)
+            assert path.read_bytes() == two_d_dump_table(header, *columns)
+
+
+def write_csv(path, value, rows):
+    write_table_csv(path, ("x", "t"), np.arange(rows, dtype=float), np.full(rows, value))
+
+
+def write_json_table(path, value, rows):
+    write_table_json(path, ("x", "t"), np.arange(rows, dtype=float), np.full(rows, value))
+
+
+def write_payload(path, value, rows):
+    write_json(path, {"value": value, "rows": [value] * rows, "name": "fin"})
+
+
+WRITERS = pytest.mark.parametrize("write", [write_csv, write_json_table, write_payload],
+                                  ids=["csv", "json-table", "json"])
+
+
+class TestRewrite:
+    """Every writer writes over the old file's bytes and cuts it after its own."""
+
+    @WRITERS
+    @pytest.mark.parametrize("old_rows, new_rows", [(3 * CHUNK_ROWS, 5), (5, 3 * CHUNK_ROWS)],
+                             ids=["shorter-over-longer", "longer-over-shorter"])
+    def test_file_holds_exactly_the_new_bytes(self, tmp_path, write, old_rows, new_rows):
+        fresh = tmp_path / "fresh"
+        write(fresh, 0.25, new_rows)
+        path = tmp_path / "table"
+        write(path, 7.0, old_rows)
+        write(path, 0.25, new_rows)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("write", [write_csv, write_json_table], ids=["csv", "json-table"])
+    def test_write_that_raises_leaves_no_old_byte(self, tmp_path, monkeypatch, write):
+        fresh = tmp_path / "fresh"
+        write(fresh, 0.25, 3 * CHUNK_ROWS)
+        path = tmp_path / "table"
+        write(path, 7.0, 4 * CHUNK_ROWS)
+        row_chunks = tables._row_chunks
+
+        def first_chunk_only(columns):
+            chunks = row_chunks(columns)
+            yield next(chunks)
+            raise RuntimeError("write stopped")
+
+        monkeypatch.setattr(tables, "_row_chunks", first_chunk_only)
+        with pytest.raises(RuntimeError, match="write stopped"):
+            write(path, 0.25, 3 * CHUNK_ROWS)
+        # The file is the new table up to its first chunk, and no more.
+        written = path.read_bytes()
+        new = fresh.read_bytes()
+        assert new.startswith(written)
+        assert written.count(b"0.25") == CHUNK_ROWS
+        assert len(written) < len(new) // 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refused_table_leaves_the_old_file(self, tmp_path, value):
+        path = tmp_path / "table.csv"
+        write_csv(path, 7.0, 5)
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(path, value, 5)
+        assert path.read_bytes() == old
+
+    @WRITERS
+    def test_links_are_written_through_and_kept(self, tmp_path, write):
+        fresh = tmp_path / "fresh"
+        write(fresh, 0.25, 5)
+        target = tmp_path / "target"
+        write(target, 7.0, 3 * CHUNK_ROWS)
+        inode = target.stat().st_ino
+        hard = tmp_path / "hard"
+        os.link(target, hard)
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        write(link, 0.25, 5)
+        assert link.is_symlink()
+        assert target.stat().st_ino == hard.stat().st_ino == inode
+        assert target.read_bytes() == hard.read_bytes() == fresh.read_bytes()
+
+    @WRITERS
+    def test_symlink_to_dev_null_is_written(self, tmp_path, write):
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        write(link, 0.25, 3 * CHUNK_ROWS)
+        assert link.is_symlink()
+        assert link.read_bytes() == b""
+
+    @WRITERS
+    @pytest.mark.parametrize("mask", [0o002, 0o027])
+    def test_new_file_gets_the_mode_of_open_wb(self, tmp_path, write, mask):
+        umask = os.umask(mask)
+        try:
+            write(tmp_path / "table", 0.25, 5)
+            with open(tmp_path / "opened", "wb"):
+                pass
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "table").stat().st_mode == (tmp_path / "opened").stat().st_mode
+
+    def test_json_writer_over_a_longer_file_equals_json_dumps(self, tmp_path):
+        payload = {"result": {"length": 0.1, "theta": [1e-07, -0.0, 1e16, float("nan")]},
+                   "checks": [{"name": "area_err", "pass": True}], "text": "é"}
+        path = tmp_path / "report.json"
+        write_payload(path, 7.0, 2000)
+        write_json(path, payload)
         assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
@@ -661,3 +818,60 @@ class TestBlockReader:
         path.write_text("x,pad,t\n0," + "1" * (3 * CHUNK_BYTES) + ",2\n1,0,0\n")
         x, t = read_profile_csv(path)
         assert x.tolist() == [0.0, 1.0] and t.tolist() == [2.0, 0.0]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """One UTF-8 byte-order mark before the header is dropped; line numbers
+    do not change, and a mark anywhere else is a fault of its line."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("header", ["x,t", "t,junk,x"])
+    def test_table_reads_as_without_it(self, tmp_path, header, newline):
+        rows = ["0.0,1.0", "0.5,2.0", "1.0,0.0"] if header == "x,t" else \
+            ["1.0,9,0.0", "2.0,9,0.5", "0.0,9,1.0"]
+        text = newline.join([header, *rows, ""]).encode()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + text)
+        x, t = read_profile_csv(path)
+        assert x.tolist() == [0.0, 0.5, 1.0]
+        assert t.tolist() == [1.0, 2.0, 0.0]
+
+    def test_line_numbers_stay(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + b"x,t\n0,1\n\nnope,2\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 4: could not convert string to float: 'nope'")
+
+    def test_mark_on_a_data_line_is_its_fault(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"x,t\n" + BOM + b"0,1\n1,0\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 2: could not convert string to float: '\\ufeff0'")
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + BOM + b"x,t\n0,1\n1,0\n")
+        with pytest.raises(ProfileFormatError) as info:
+            read_profile_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 1: header must contain columns 'x' and 't', got '\\ufeffx,t'")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_tables_read_as_without_it(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(1000 + seed)
+        path = tmp_path / "fuzz.csv"
+        for _ in range(300):
+            text = random_table(rng)
+            monkeypatch.setattr(tables, "CHUNK_BYTES",
+                                rng.choice([rng.randint(1, 80), CHUNK_BYTES]))
+            path.write_bytes(text)
+            plain = outcome(read_profile_csv, path)
+            path.write_bytes(BOM + text)
+            assert outcome(read_profile_csv, path) == outcome(loop_read, path) == plain
